@@ -37,6 +37,8 @@ pub use ft_sim::{FaultConfig, FaultPlan};
 use rand::rngs::StdRng;
 use rand::seq::{IteratorRandom, SliceRandom};
 use rand::{Rng, SeedableRng};
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 /// Everything the omniscient adversary may inspect before striking.
 #[derive(Clone, Copy)]
@@ -211,9 +213,7 @@ impl Adversary for DiameterGreedy {
         if g.len() <= 2 {
             return g.nodes().next();
         }
-        let mut candidates: Vec<NodeId> = g.nodes().collect();
-        candidates.sort_by_key(|&v| std::cmp::Reverse(g.degree(v)));
-        candidates.truncate(self.max_candidates);
+        let candidates = highest_degree_k(g, self.max_candidates);
         let mut best: Option<(u32, NodeId)> = None;
         for v in candidates {
             let mut trial = g.clone();
@@ -276,6 +276,65 @@ impl WavePlanner for RandomWave {
     }
 }
 
+/// The `k` least items of a stream under `T`'s order, kept in a bounded
+/// max-heap whose top is the worst item kept.
+///
+/// Fed every item of a stream, [`TopK::into_sorted_vec`] returns exactly what
+/// collecting the stream, sorting it and truncating to `k` would, in
+/// O(n log k) time and O(k) space, provided the order is total over the
+/// stream (no two items compare equal).
+struct TopK<T: Ord> {
+    heap: BinaryHeap<T>,
+    k: usize,
+}
+
+impl<T: Ord> TopK<T> {
+    /// An empty selection of at most `k` items; `len_hint` bounds the
+    /// stream's length so a huge `k` does not reserve memory it never uses.
+    fn new(k: usize, len_hint: usize) -> Self {
+        TopK {
+            heap: BinaryHeap::with_capacity(k.min(len_hint)),
+            k,
+        }
+    }
+
+    /// The worst item kept, once `k` items are kept (`None` before, and
+    /// always when `k == 0`). A later item enters only if it is less.
+    fn floor(&self) -> Option<&T> {
+        if self.heap.len() == self.k {
+            self.heap.peek()
+        } else {
+            None
+        }
+    }
+
+    /// Keeps `item` if it is among the `k` least seen so far.
+    fn offer(&mut self, item: T) {
+        if self.heap.len() < self.k {
+            self.heap.push(item);
+        } else if let Some(mut worst) = self.heap.peek_mut() {
+            if item < *worst {
+                *worst = item;
+            }
+        }
+    }
+
+    /// The kept items, least first.
+    fn into_sorted_vec(self) -> Vec<T> {
+        self.heap.into_sorted_vec()
+    }
+}
+
+/// The `k` highest-degree live nodes of `g`, highest first, ties to the
+/// lowest ID.
+fn highest_degree_k(g: &Graph, k: usize) -> Vec<NodeId> {
+    let mut top = TopK::new(k, g.len());
+    for v in g.nodes() {
+        top.offer((Reverse(g.degree(v)), v));
+    }
+    top.into_sorted_vec().into_iter().map(|(_, v)| v).collect()
+}
+
 /// The hub attack at wave scale: the `k` highest-degree live nodes
 /// (ties: lowest ID).
 #[derive(Debug, Default)]
@@ -287,11 +346,7 @@ impl WavePlanner for TargetedWave {
     }
 
     fn plan(&mut self, view: AdversaryView<'_>, k: usize) -> Vec<NodeId> {
-        let g = view.graph;
-        let mut nodes: Vec<NodeId> = g.nodes().collect();
-        nodes.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
-        nodes.truncate(k);
-        nodes
+        highest_degree_k(view.graph, k)
     }
 }
 
@@ -300,7 +355,28 @@ impl WavePlanner for TargetedWave {
 /// still churn — the heavy-tailed failure mix of real overlays.
 ///
 /// Sampling uses the exponential-keys scheme (Efraimidis–Spirakis A-Res):
-/// draw `u^(1/w)` per node and keep the `k` largest keys.
+/// draw `u` uniform in `[0, 1)` per live node in ascending ID order, key it
+/// `u^(1/w)` with `w = (degree + 1)^exponent`, and keep the `k` largest keys
+/// (ties: lowest ID).
+///
+/// One wave is a single streaming pass. The best `k` entries so far sit in
+/// a bounded heap whose top, once full, is the floor `τ` a newcomer must
+/// beat. Nodes arrive in ascending ID order, so a newcomer whose key equals
+/// `τ` loses the tie: it enters only if its key exceeds `τ`. `w` and `1/w`
+/// are computed once per degree (a k-ary tree has two degrees in all but a
+/// handful of nodes), and so is a skip threshold
+/// `exp(w·(ln τ − δ))` with `δ = 1e-9`, refreshed whenever `τ` moves.
+/// A node whose `u` lies below its degree's threshold has
+/// `ln u < w·ln τ − w·δ`, so its exact key `u^(1/w)` is below `τ·e^(−δ)`;
+/// the node is skipped without its `powf`. The margin is taken in key
+/// space, where the rounding of `ln`, `exp`, `1/w` and `powf` together
+/// moves a key by a few parts in 10¹⁶ of `max(1, |ln τ|)`, far less than
+/// `δ`, so a skipped node's computed key is always below `τ` too. A fixed
+/// relative factor on `τ^w` would instead shrink below one ULP of the key
+/// once `w` grows large (about 10⁸ at high exponents), and the skip would
+/// drop nodes that belong in the wave. Every node still draws its `u`, so
+/// the RNG stream, the victims and their order are those of collecting,
+/// sorting and truncating every key.
 #[derive(Debug)]
 pub struct HeavyTailWave {
     rng: StdRng,
@@ -318,6 +394,56 @@ impl HeavyTailWave {
     }
 }
 
+/// Key-space margin of [`HeavyTailWave`]'s skip test (see its docs).
+const SKIP_MARGIN: f64 = 1e-9;
+
+/// The draw below which a node of weight `w` keys below `floor`:
+/// `exp(w·(ln floor − δ))`. 0 (skip nothing) when `w` is infinite, NaN
+/// (skip nothing) when `floor` is 0 and `w` is 0.
+fn skip_threshold(w: f64, floor: f64) -> f64 {
+    (w * (floor.ln() - SKIP_MARGIN)).exp()
+}
+
+/// A heavy-tail key with its node, ordered best first: key descending,
+/// then node ID ascending.
+struct Keyed {
+    key: f64,
+    v: NodeId,
+}
+
+impl Ord for Keyed {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key.total_cmp(&self.key).then(self.v.cmp(&other.v))
+    }
+}
+
+impl PartialOrd for Keyed {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Keyed {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Keyed {}
+
+/// The per-degree constants of one heavy-tail wave.
+#[derive(Clone, Copy)]
+struct DegreeClass {
+    /// `w = (degree + 1)^exponent`.
+    w: f64,
+    /// `1/w`, the key's exponent.
+    inv_w: f64,
+    /// Draws below this have keys below `floor`; 0 skips nothing.
+    skip_below: f64,
+    /// The floor `skip_below` was derived for.
+    floor: f64,
+}
+
 impl WavePlanner for HeavyTailWave {
     fn name(&self) -> &'static str {
         "heavy-tail"
@@ -325,17 +451,38 @@ impl WavePlanner for HeavyTailWave {
 
     fn plan(&mut self, view: AdversaryView<'_>, k: usize) -> Vec<NodeId> {
         let g = view.graph;
-        let mut keyed: Vec<(f64, NodeId)> = g
-            .nodes()
-            .map(|v| {
-                let w = ((g.degree(v) + 1) as f64).powf(self.exponent);
-                let u: f64 = self.rng.gen();
-                (u.powf(1.0 / w), v)
-            })
-            .collect();
-        keyed.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        keyed.truncate(k);
-        keyed.into_iter().map(|(_, v)| v).collect()
+        let mut classes: Vec<Option<DegreeClass>> = Vec::new();
+        let mut top: TopK<Keyed> = TopK::new(k, g.len());
+        for v in g.nodes() {
+            let d = g.degree(v);
+            if d >= classes.len() {
+                classes.resize(d + 1, None);
+            }
+            let class = classes[d].get_or_insert_with(|| {
+                let w = ((d + 1) as f64).powf(self.exponent);
+                DegreeClass {
+                    w,
+                    inv_w: 1.0 / w,
+                    skip_below: 0.0,
+                    floor: f64::NAN,
+                }
+            });
+            let u: f64 = self.rng.gen();
+            if let Some(floor) = top.floor().map(|worst| worst.key) {
+                if class.floor.to_bits() != floor.to_bits() {
+                    class.skip_below = skip_threshold(class.w, floor);
+                    class.floor = floor;
+                }
+                if u < class.skip_below {
+                    continue;
+                }
+            }
+            top.offer(Keyed {
+                key: u.powf(class.inv_w),
+                v,
+            });
+        }
+        top.into_sorted_vec().into_iter().map(|e| e.v).collect()
     }
 }
 
@@ -668,6 +815,173 @@ mod tests {
             }
         }
         assert!(hub_hits > 40, "hub planned in {hub_hits}/50 waves");
+    }
+
+    /// The full-sort planners the streaming top-k replaced: collect every
+    /// live node, sort on the whole order, truncate. Oracles for the
+    /// differential property below.
+    mod full_sort {
+        use super::*;
+
+        pub(super) fn heavy_tail(
+            rng: &mut StdRng,
+            exponent: f64,
+            g: &Graph,
+            k: usize,
+        ) -> Vec<NodeId> {
+            let mut keyed: Vec<(f64, NodeId)> = g
+                .nodes()
+                .map(|v| {
+                    let w = ((g.degree(v) + 1) as f64).powf(exponent);
+                    let u: f64 = rng.gen();
+                    (u.powf(1.0 / w), v)
+                })
+                .collect();
+            keyed.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+            keyed.truncate(k);
+            keyed.into_iter().map(|(_, v)| v).collect()
+        }
+
+        pub(super) fn targeted(g: &Graph, k: usize) -> Vec<NodeId> {
+            let mut nodes: Vec<NodeId> = g.nodes().collect();
+            nodes.sort_by_key(|&v| (Reverse(g.degree(v)), v));
+            nodes.truncate(k);
+            nodes
+        }
+
+        /// `DiameterGreedy`'s old candidate prefix: a stable sort on
+        /// degree alone.
+        pub(super) fn diameter_candidates(g: &Graph, max: usize) -> Vec<NodeId> {
+            let mut nodes: Vec<NodeId> = g.nodes().collect();
+            nodes.sort_by_key(|&v| Reverse(g.degree(v)));
+            nodes.truncate(max);
+            nodes
+        }
+    }
+
+    /// A star (every leaf ties on degree) or a seeded random tree plus
+    /// up to `chords` random chords.
+    fn differential_graph(n: usize, star: bool, chords: usize, seed: u64) -> Graph {
+        if star {
+            return gen::star(n);
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut g = gen::random_tree(n, &mut rng);
+        for _ in 0..chords {
+            let a = NodeId(rng.gen_range(0..n) as u32);
+            let b = NodeId(rng.gen_range(0..n) as u32);
+            if a != b {
+                g.add_edge(a, b);
+            }
+        }
+        g
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// Three consecutive waves, victims deleted in between: the
+        /// streaming planners pick the same victims in the same order as
+        /// the full sort, and heavy-tail leaves its RNG exactly where the
+        /// full sort leaves it.
+        #[test]
+        fn streaming_planners_match_the_full_sort(
+            n in 1usize..300,
+            star in proptest::bool::ANY,
+            chords in 0usize..60,
+            (graph_seed, planner_seed) in (0u64..1_000, 0u64..1_000),
+            k_pick in 0usize..5,
+            exponent_pick in 0usize..4,
+        ) {
+            let exponent = [0.0, 0.5, 2.0, 8.0][exponent_pick];
+            let k = [0, 1, n - 1, n, n + 3][k_pick];
+            let mut g = differential_graph(n, star, chords, graph_seed);
+            let mut heavy = HeavyTailWave {
+                rng: StdRng::seed_from_u64(planner_seed),
+                exponent,
+            };
+            let mut oracle_rng = StdRng::seed_from_u64(planner_seed);
+            for wave in 0..3 {
+                let ctx = format!("wave {wave}, n {n}, k {k}, exponent {exponent}, star {star}");
+                proptest::prop_assert_eq!(
+                    TargetedWave.plan(view(&g), k),
+                    full_sort::targeted(&g, k),
+                    "targeted, {}", ctx
+                );
+                proptest::prop_assert_eq!(
+                    highest_degree_k(&g, k),
+                    full_sort::diameter_candidates(&g, k),
+                    "diameter-greedy candidates, {}", ctx
+                );
+                let victims = heavy.plan(view(&g), k);
+                proptest::prop_assert_eq!(
+                    &victims,
+                    &full_sort::heavy_tail(&mut oracle_rng, exponent, &g, k),
+                    "heavy-tail, {}", ctx
+                );
+                proptest::prop_assert_eq!(
+                    heavy.rng.clone().gen::<u64>(),
+                    oracle_rng.clone().gen::<u64>(),
+                    "heavy-tail RNG stream, {}", ctx
+                );
+                for &v in &victims {
+                    g.delete_node(v);
+                }
+            }
+        }
+    }
+
+    /// At campaign scale, where the heap fills early and nearly every node
+    /// is skipped without its `powf`, heavy-tail still matches the full
+    /// sort wave after wave.
+    #[test]
+    fn heavy_tail_matches_the_full_sort_at_campaign_scale() {
+        for exponent in [2.0, 8.0] {
+            let mut g = gen::kary_tree(20_000, 8);
+            let mut p = HeavyTailWave {
+                rng: StdRng::seed_from_u64(1),
+                exponent,
+            };
+            let mut oracle_rng = StdRng::seed_from_u64(1);
+            for _ in 0..5 {
+                let victims = p.plan(view(&g), 50);
+                assert_eq!(
+                    victims,
+                    full_sort::heavy_tail(&mut oracle_rng, exponent, &g, 50)
+                );
+                assert_eq!(p.rng, oracle_rng);
+                for &v in &victims {
+                    g.delete_node(v);
+                }
+            }
+        }
+    }
+
+    /// The skip is sound at its edge: the largest draw below the threshold
+    /// keys strictly below the floor, from uniform weights up to the
+    /// 10¹⁵-scale weights of exponent 8, where a fixed relative factor on
+    /// `floor^w` falls below one ULP of the key.
+    #[test]
+    fn skip_threshold_is_sound_at_its_edge() {
+        let weights = [1.0, 4.0, 100.0, 9f64.powf(8.0), 1e8, 61f64.powf(8.0), 1e300];
+        let mut rng = StdRng::seed_from_u64(5);
+        for &w in &weights {
+            let inv_w = 1.0 / w;
+            let mut floors = vec![1.0, 1.0 - 1e-15, 0.5, 1e-300, f64::MIN_POSITIVE];
+            floors.extend((0..2_000).map(|_| rng.gen::<f64>().powf(inv_w)));
+            for floor in floors {
+                let thr = skip_threshold(w, floor);
+                if thr > 0.0 {
+                    let edge = thr.next_down();
+                    assert!(
+                        edge.powf(inv_w) < floor,
+                        "w {w}: draw {edge} below threshold {thr} keys at or above floor {floor}"
+                    );
+                }
+            }
+        }
+        assert_eq!(skip_threshold(f64::INFINITY, 0.5), 0.0);
+        assert!(skip_threshold(4.0, 0.9) > 0.6, "the skip is not vacuous");
     }
 
     #[test]

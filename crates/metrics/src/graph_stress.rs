@@ -106,16 +106,22 @@ pub struct GraphStressRecord {
     /// Worker threads the campaign (and stretch pass) ran with.
     pub threads: usize,
     /// Wall-clock seconds for the campaign (setup and stretch pass
-    /// excluded).
+    /// excluded): planning, healing and journal drains.
     pub elapsed_secs: f64,
     /// The same wall time in milliseconds (the perf-trajectory datapoint).
     pub wall_ms: f64,
     /// Wall-clock milliseconds of the sampled stretch pass (the other
     /// sharded hot path).
     pub stretch_wall_ms: f64,
-    /// Healed churn events per second.
+    /// Wall-clock seconds the churn planner took (not in the JSON record).
+    pub plan_secs: f64,
+    /// Wall-clock seconds the heal waves took (not in the JSON record).
+    pub heal_secs: f64,
+    /// Healed churn events per second of heal time (planner time
+    /// excluded).
     pub events_per_sec: f64,
-    /// Delivered messages (notices and joins included) per second.
+    /// Delivered messages (notices and joins included) per second of heal
+    /// time.
     pub msgs_per_sec: f64,
     /// Worst single-node single-round message load.
     pub peak_per_node_load: usize,
@@ -311,14 +317,17 @@ impl GraphStressRecord {
     pub fn summary(&self) -> String {
         format!(
             "{} inserts + {} deletes over {} waves on n={} ({} planner): \
-             {:.2}s, {:.0} events/s, {:.0} msgs/s, max stretch {:.2} \
-             (bound {:.0}), max degree +{} (bound {}), books balanced",
+             {:.2}s (planner {:.2}s, heal {:.2}s), {:.0} events/s and \
+             {:.0} msgs/s of heal, max stretch {:.2} (bound {:.0}), max \
+             degree +{} (bound {}), books balanced",
             self.insertions,
             self.deletions,
             self.waves,
             self.config.nodes,
             self.config.planner,
             self.elapsed_secs,
+            self.plan_secs,
+            self.heal_secs,
             self.events_per_sec,
             self.msgs_per_sec,
             self.stretch.max_stretch,
@@ -397,9 +406,11 @@ pub fn run_graph_stress(cfg: &GraphStressConfig) -> GraphStressRecord {
     let mut stretch_wall = 0.0f64;
 
     let start = Instant::now();
+    let (mut plan_secs, mut heal_secs) = (0.0f64, 0.0f64);
     let mut remaining = cfg.events;
     while remaining > 0 && dist.len() > 2 {
         let k = remaining.min(cfg.wave_size.max(1));
+        let t0 = Instant::now();
         let events = planner.plan(
             AdversaryView {
                 graph: dist.graph(),
@@ -407,11 +418,14 @@ pub fn run_graph_stress(cfg: &GraphStressConfig) -> GraphStressRecord {
             },
             k,
         );
+        let t1 = Instant::now();
+        plan_secs += (t1 - t0).as_secs_f64();
         if events.is_empty() {
             break;
         }
         remaining = remaining.saturating_sub(events.len());
         dist.run_wave(&mut campaign, &events);
+        heal_secs += t1.elapsed().as_secs_f64();
         if let Some(t) = tracker.as_mut() {
             let journal = dist.network_mut().drain_churn_journal();
             let t0 = Instant::now();
@@ -420,6 +434,7 @@ pub fn run_graph_stress(cfg: &GraphStressConfig) -> GraphStressRecord {
         }
     }
     let elapsed = (start.elapsed().as_secs_f64() - stretch_wall).max(1e-9);
+    let heal_secs = heal_secs.max(1e-9);
 
     dist.network()
         .check_accounting()
@@ -512,8 +527,10 @@ pub fn run_graph_stress(cfg: &GraphStressConfig) -> GraphStressRecord {
         elapsed_secs: elapsed,
         wall_ms: elapsed * 1e3,
         stretch_wall_ms,
-        events_per_sec: (report.insertions + report.deletions) as f64 / elapsed,
-        msgs_per_sec: ledger.total_messages() as f64 / elapsed,
+        plan_secs,
+        heal_secs,
+        events_per_sec: (report.insertions + report.deletions) as f64 / heal_secs,
+        msgs_per_sec: ledger.total_messages() as f64 / heal_secs,
         peak_per_node_load: report.peak_round_load,
         max_per_node_total: ledger.max_per_node(),
         sent: ledger.sent(),

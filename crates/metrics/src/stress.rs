@@ -6,10 +6,10 @@
 //! (planned by an `ft-adversary` [`ft_adversary::WavePlanner`], applied by
 //! the `ft-sim` [`Campaign`] driver) until the deletion budget is spent. The
 //! resulting [`StressRecord`] reports throughput (deletions/sec and
-//! messages/sec), the peak per-node round load, and the full message
-//! ledger — and `run_stress` panics if the books do not balance or any
-//! heal fails to quiesce, so it doubles as an end-to-end accounting check
-//! in CI.
+//! messages/sec of heal time, with planner time apart), the peak per-node
+//! round load, and the full message ledger — and `run_stress` panics if
+//! the books do not balance or any heal fails to quiesce, so it doubles as
+//! an end-to-end accounting check in CI.
 //!
 //! `StressConfig::faults` arms a named deterministic fault model
 //! ([`ft_sim::FaultConfig`]) on the same campaign: loss, duplication,
@@ -97,13 +97,18 @@ pub struct StressRecord {
     pub live_remaining: usize,
     /// Worker threads the campaign ran with.
     pub threads: usize,
-    /// Wall-clock seconds for the campaign (setup excluded).
+    /// Wall-clock seconds for the campaign (setup excluded): planning plus
+    /// healing.
     pub elapsed_secs: f64,
     /// The same wall time in milliseconds (the perf-trajectory datapoint).
     pub wall_ms: f64,
-    /// Healed deletions per second.
+    /// Wall-clock seconds the wave planner took (not in the JSON record).
+    pub plan_secs: f64,
+    /// Wall-clock seconds the heal waves took (not in the JSON record).
+    pub heal_secs: f64,
+    /// Healed deletions per second of heal time (planner time excluded).
     pub nodes_per_sec: f64,
-    /// Delivered messages (notices included) per second.
+    /// Delivered messages (notices included) per second of heal time.
     pub msgs_per_sec: f64,
     /// Worst single-node single-round message load.
     pub peak_per_node_load: usize,
@@ -238,8 +243,8 @@ impl StressRecord {
     pub fn summary(&self) -> String {
         format!(
             "{} deletions over {} waves on n={} ({} planner, {} thread{}): \
-             {:.2}s, {:.0} deletions/s, {:.0} msgs/s, peak node load {}, \
-             books balanced",
+             {:.2}s (planner {:.2}s, heal {:.2}s), {:.0} deletions/s and \
+             {:.0} msgs/s of heal, peak node load {}, books balanced",
             self.deletions,
             self.waves,
             self.config.nodes,
@@ -247,6 +252,8 @@ impl StressRecord {
             self.threads,
             if self.threads == 1 { "" } else { "s" },
             self.elapsed_secs,
+            self.plan_secs,
+            self.heal_secs,
             self.nodes_per_sec,
             self.msgs_per_sec,
             self.peak_per_node_load,
@@ -287,9 +294,11 @@ pub fn run_stress(cfg: &StressConfig) -> StressRecord {
     });
 
     let start = Instant::now();
+    let (mut plan_secs, mut heal_secs) = (0.0f64, 0.0f64);
     let mut remaining = cfg.deletions.min(cfg.nodes.saturating_sub(1));
     while remaining > 0 && dist.len() > 1 {
         let k = remaining.min(cfg.wave_size.max(1)).min(dist.len() - 1);
+        let t0 = Instant::now();
         let victims = planner.plan(
             AdversaryView {
                 graph: dist.graph(),
@@ -297,13 +306,17 @@ pub fn run_stress(cfg: &StressConfig) -> StressRecord {
             },
             k,
         );
+        let t1 = Instant::now();
+        plan_secs += (t1 - t0).as_secs_f64();
         if victims.is_empty() {
             break;
         }
         remaining -= victims.len();
         campaign.run_wave(dist.network_mut(), &victims);
+        heal_secs += t1.elapsed().as_secs_f64();
     }
     let elapsed = start.elapsed().as_secs_f64().max(1e-9);
+    let heal_secs = heal_secs.max(1e-9);
 
     dist.network()
         .check_accounting()
@@ -336,8 +349,10 @@ pub fn run_stress(cfg: &StressConfig) -> StressRecord {
         threads: cfg.threads.max(1),
         elapsed_secs: elapsed,
         wall_ms: elapsed * 1e3,
-        nodes_per_sec: report.deletions as f64 / elapsed,
-        msgs_per_sec: ledger.total_messages() as f64 / elapsed,
+        plan_secs,
+        heal_secs,
+        nodes_per_sec: report.deletions as f64 / heal_secs,
+        msgs_per_sec: ledger.total_messages() as f64 / heal_secs,
         peak_per_node_load: report.peak_round_load,
         max_per_node_total: ledger.max_per_node(),
         sent: ledger.sent(),

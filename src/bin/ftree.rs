@@ -64,7 +64,7 @@ fn parse_workload(spec: &str) -> Workload {
     };
     let (kind, rest) = spec.split_once(':').unwrap_or_else(|| bad());
     let num = |s: &str| s.parse::<usize>().unwrap_or_else(|_| bad());
-    match kind {
+    let w = match kind {
         "path" => Workload::Path(num(rest)),
         "star" => Workload::Star(num(rest)),
         k if k.starts_with("kary") => Workload::Kary(num(rest), num(&k[4..])),
@@ -85,7 +85,36 @@ fn parse_workload(spec: &str) -> Workload {
             Workload::PrefTree(num(n), num(s) as u64)
         }
         _ => bad(),
+    };
+    // The generators assert on shapes with no root node (and k-ary trees
+    // on arity 0); those are usage errors, not panics.
+    let empty = match w {
+        Workload::Path(n)
+        | Workload::Star(n)
+        | Workload::RandomTree(n, _)
+        | Workload::PrefTree(n, _) => n == 0,
+        Workload::Kary(n, k) => n == 0 || k == 0,
+        Workload::Caterpillar(spine, _) => spine == 0,
+        Workload::Broom(handle, _) => handle == 0,
+    };
+    if empty {
+        eprintln!("workload {spec} is empty: sizes and arity must be at least 1");
+        usage();
     }
+    w
+}
+
+/// Reads `--nodes` (default `default`) and rejects 0: every harness roots
+/// its topology at node 0.
+fn parse_nodes(args: &[String], default: usize) -> usize {
+    let nodes = flag_value(args, "--nodes")
+        .map(|s| parse_scaled(s).unwrap_or_else(|| usage()))
+        .unwrap_or(default);
+    if nodes == 0 {
+        eprintln!("--nodes must be at least 1");
+        usage();
+    }
+    nodes
 }
 
 fn make_adversary(name: &str, seed: u64) -> Box<dyn Adversary> {
@@ -303,7 +332,7 @@ fn cmd_stress_tree(args: &[String]) {
     }
     let faults = parse_fault_model(args);
     let cfg = StressConfig {
-        nodes: num("--nodes", defaults.nodes),
+        nodes: parse_nodes(args, defaults.nodes),
         deletions: num("--deletions", defaults.deletions),
         wave_size: num("--wave", defaults.wave_size),
         arity: num("--arity", defaults.arity),
@@ -374,7 +403,7 @@ fn cmd_stress_graph(args: &[String]) {
     }
     let faults = parse_fault_model(args);
     let cfg = GraphStressConfig {
-        nodes: num("--nodes", defaults.nodes),
+        nodes: parse_nodes(args, defaults.nodes),
         events: num("--events", defaults.events),
         wave_size: num("--wave", defaults.wave_size),
         insert_fraction: frac("--insert-frac", defaults.insert_fraction),
@@ -532,7 +561,7 @@ fn cmd_faults(args: &[String]) {
     };
     let defaults = FaultMatrixConfig::default();
     let cfg = FaultMatrixConfig {
-        nodes: num("--nodes", defaults.nodes),
+        nodes: parse_nodes(args, defaults.nodes),
         events: num("--events", defaults.events),
         wave_size: num("--wave", defaults.wave_size),
         seed: num("--seed", defaults.seed as usize) as u64,
