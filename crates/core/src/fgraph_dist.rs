@@ -28,6 +28,19 @@
 //! [`DistributedForgivingGraph::check_wills`] audit verifies every filed
 //! will against its owner's true neighborhood.
 //!
+//! # Shared will snapshots
+//!
+//! A node's neighbor list is one sorted `Arc<Vec<NodeId>>`, and at setup
+//! every will filed with a neighbor is an `Arc::clone` of it: one
+//! allocation per node rather than one per edge endpoint. The sharing is
+//! an implementation detail, not shared state. Every mutation — the
+//! owner's own list or a holder's filed copy — goes through
+//! `Arc::make_mut`, which copies a snapshot that anyone else still holds
+//! before writing. Each processor's copy therefore stays logically
+//! private: a holder whose [`FgMsg::WillDelta`] was lost, delayed or
+//! silenced by a crash keeps exactly the stale snapshot it would keep
+//! with its own deep copy, and `check_wills` reports it the same way.
+//!
 //! The differential test-suite drives this implementation and the
 //! [`crate::ForgivingGraph`] spec engine with identical churn sequences and
 //! asserts the healed graphs are identical after every event.
@@ -36,7 +49,8 @@ use crate::fgraph::Haft;
 use crate::report::HealReport;
 use ft_graph::{Graph, NodeId};
 use ft_sim::{Ctx, Network, Process};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Protocol messages of the distributed Forgiving Graph.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -58,21 +72,29 @@ pub enum FgMsg {
 #[derive(Debug)]
 pub struct FgNode {
     id: NodeId,
-    /// My current neighbor set (kept in lockstep with the topology).
-    neighbors: BTreeSet<NodeId>,
-    /// Wills filed with me: each neighbor's current neighbor list.
-    wills: BTreeMap<NodeId, BTreeSet<NodeId>>,
+    /// My current neighbor set, sorted (kept in lockstep with the
+    /// topology; shared copy-on-write with the wills filed at setup).
+    neighbors: Arc<Vec<NodeId>>,
+    /// Wills filed with me: each neighbor's neighbor list, sorted.
+    wills: BTreeMap<NodeId, Arc<Vec<NodeId>>>,
     /// Fresh arrival that still has to announce itself on start.
     joiner: bool,
 }
 
 impl FgNode {
-    /// A settled node with pre-distributed wills (initial setup).
-    fn settled(id: NodeId, neighbors: BTreeSet<NodeId>) -> Self {
+    /// A settled node with pre-distributed wills (initial setup):
+    /// `lists[v]` is node `v`'s sorted neighbor list, shared by the owner
+    /// and every holder of its will.
+    fn settled(id: NodeId, lists: &[Arc<Vec<NodeId>>]) -> Self {
+        let neighbors = Arc::clone(&lists[id.index()]);
+        let wills = neighbors
+            .iter()
+            .map(|&u| (u, Arc::clone(&lists[u.index()])))
+            .collect();
         FgNode {
             id,
             neighbors,
-            wills: BTreeMap::new(),
+            wills,
             joiner: false,
         }
     }
@@ -80,27 +102,36 @@ impl FgNode {
     /// A freshly inserted node wired to `neighbors`; announces its will on
     /// start and collects its anchors' wills in the first exchange.
     pub fn joiner(id: NodeId, neighbors: &[NodeId]) -> Self {
+        let mut neighbors = neighbors.to_vec();
+        neighbors.sort_unstable();
+        neighbors.dedup();
         FgNode {
             id,
-            neighbors: neighbors.iter().copied().collect(),
+            neighbors: Arc::new(neighbors),
             wills: BTreeMap::new(),
             joiner: true,
         }
     }
 
-    /// My current neighbor set, as this processor believes it to be.
-    pub fn neighbors(&self) -> &BTreeSet<NodeId> {
+    /// My current neighbor set, ascending, as this processor believes it
+    /// to be.
+    pub fn neighbors(&self) -> &[NodeId] {
         &self.neighbors
     }
 
-    /// The will `owner` has filed with me, if any.
-    pub fn will_of(&self, owner: NodeId) -> Option<&BTreeSet<NodeId>> {
-        self.wills.get(&owner)
+    /// The will `owner` has filed with me, if any (ascending).
+    pub fn will_of(&self, owner: NodeId) -> Option<&[NodeId]> {
+        self.wills.get(&owner).map(|w| w.as_slice())
+    }
+
+    /// Adds `v` to my neighbor list; false if it was already there.
+    fn add_neighbor(&mut self, v: NodeId) -> bool {
+        insert_sorted(Arc::make_mut(&mut self.neighbors), v)
     }
 
     /// Sends my full will to `to`.
     fn send_will(&self, to: NodeId, ctx: &mut Ctx<'_, FgMsg>) {
-        ctx.send(to, FgMsg::Will(self.neighbors.iter().copied().collect()));
+        ctx.send(to, FgMsg::Will(self.neighbors.to_vec()));
     }
 
     /// Announces a batched neighborhood change to every retained neighbor
@@ -109,7 +140,7 @@ impl FgNode {
         if added.is_empty() && removed.is_empty() {
             return;
         }
-        for &u in &self.neighbors {
+        for &u in self.neighbors.iter() {
             if !added.contains(&u) {
                 ctx.send(
                     u,
@@ -129,14 +160,14 @@ impl Process for FgNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_, FgMsg>) {
         if self.joiner {
             self.joiner = false;
-            for &u in &self.neighbors.clone() {
+            for &u in self.neighbors.iter() {
                 self.send_will(u, ctx);
             }
         }
     }
 
     fn on_neighbor_joined(&mut self, new: NodeId, ctx: &mut Ctx<'_, FgMsg>) {
-        self.neighbors.insert(new);
+        self.add_neighbor(new);
         self.send_will(new, ctx);
         self.send_deltas(&[new], &[], ctx);
     }
@@ -148,13 +179,12 @@ impl Process for FgNode {
         // the heal and let the harness measure the damage (connectivity,
         // `check_wills`, bound booleans). Fault-free runs keep the strict
         // panics — there a missing will is an engine bug, not weather.
+        remove_sorted(Arc::make_mut(&mut self.neighbors), dead);
         let Some(will) = self.wills.remove(&dead) else {
             assert!(ctx.faulty(), "{:?}: no will filed by {dead:?}", self.id);
-            self.neighbors.remove(&dead);
             return;
         };
-        self.neighbors.remove(&dead);
-        let members: Vec<NodeId> = will.iter().copied().collect(); // sorted
+        let members: &[NodeId] = will.as_slice(); // sorted
         let Some(me) = members.iter().position(|&m| m == self.id) else {
             assert!(ctx.faulty(), "{:?}: not in {dead:?}'s will", self.id);
             // A stale will (its refresh was lost) that no longer lists us:
@@ -171,7 +201,7 @@ impl Process for FgNode {
                 } else {
                     continue;
                 };
-                if self.neighbors.insert(partner) {
+                if self.add_neighbor(partner) {
                     ctx.add_edge(partner);
                     fresh.push(partner);
                 }
@@ -188,8 +218,9 @@ impl Process for FgNode {
     fn on_message(&mut self, from: NodeId, msg: FgMsg, ctx: &mut Ctx<'_, FgMsg>) {
         match msg {
             FgMsg::Will(list) => {
-                self.wills.insert(from, list.into_iter().collect());
-                if self.neighbors.insert(from) {
+                // `send_will` ships a sorted, duplicate-free list
+                self.wills.insert(from, Arc::new(list));
+                if self.add_neighbor(from) {
                     // defensive: an edge formed without my participation —
                     // complete the handshake so `from` learns my will too.
                     self.send_will(from, ctx);
@@ -197,13 +228,35 @@ impl Process for FgNode {
             }
             FgMsg::WillDelta { added, removed } => {
                 if let Some(w) = self.wills.get_mut(&from) {
-                    w.extend(added);
+                    // copy-on-write: other holders of this snapshot keep it
+                    let w = Arc::make_mut(w);
+                    for a in added {
+                        insert_sorted(w, a);
+                    }
                     for r in removed {
-                        w.remove(&r);
+                        remove_sorted(w, r);
                     }
                 }
             }
         }
+    }
+}
+
+/// Inserts `v` into the sorted `list`; false if it was already there.
+fn insert_sorted(list: &mut Vec<NodeId>, v: NodeId) -> bool {
+    match list.binary_search(&v) {
+        Ok(_) => false,
+        Err(at) => {
+            list.insert(at, v);
+            true
+        }
+    }
+}
+
+/// Removes `v` from the sorted `list`, if present.
+fn remove_sorted(list: &mut Vec<NodeId>, v: NodeId) {
+    if let Ok(at) = list.binary_search(&v) {
+        list.remove(at);
     }
 }
 
@@ -220,17 +273,15 @@ impl DistributedForgivingGraph {
     /// Initializes processors over an initial network with their wills
     /// pre-distributed (the one-time setup phase, performed analytically
     /// like [`crate::distributed::DistributedForgivingTree::new`]).
+    ///
+    /// Each node's neighbor list is allocated once and shared, copy-on-write,
+    /// by the node and every neighbor its will is filed with.
     pub fn new(initial: &Graph) -> Self {
-        let mut net = Network::new(initial.clone(), |v| {
-            FgNode::settled(v, initial.neighbors(v).collect())
-        });
-        let ids: Vec<NodeId> = initial.nodes().collect();
-        for &v in &ids {
-            let will: BTreeSet<NodeId> = initial.neighbors(v).collect();
-            for u in initial.neighbors(v) {
-                net.process_mut(u).wills.insert(v, will.clone());
-            }
-        }
+        // `Graph` keeps adjacency sorted, so each list is a valid will
+        let lists: Vec<Arc<Vec<NodeId>>> = (0..initial.capacity())
+            .map(|i| Arc::new(initial.neighbors(NodeId(i as u32)).collect()))
+            .collect();
+        let net = Network::new(initial.clone(), |v| FgNode::settled(v, &lists));
         DistributedForgivingGraph {
             net,
             pristine: initial.clone(),
@@ -382,20 +433,25 @@ impl DistributedForgivingGraph {
     /// the topology, and every filed will matches its owner's true
     /// neighborhood. Returns the first discrepancy found.
     pub fn check_wills(&self) -> Result<(), String> {
+        let graph = self.net.graph();
         for v in self.net.nodes() {
-            let actual: BTreeSet<NodeId> = self.net.graph().neighbors(v).collect();
-            let believed = &self.net.process(v).neighbors;
-            if believed != &actual {
+            // adjacency is sorted, so list equality is set equality
+            let matches = |list: &[NodeId]| list.iter().copied().eq(graph.neighbors(v));
+            let actual = || graph.neighbors(v).collect::<Vec<_>>();
+            let believed = self.net.process(v).neighbors();
+            if !matches(believed) {
                 return Err(format!(
-                    "{v:?} believes neighbors {believed:?}, topology says {actual:?}"
+                    "{v:?} believes neighbors {believed:?}, topology says {:?}",
+                    actual()
                 ));
             }
-            for u in self.net.graph().neighbors(v) {
-                match self.net.process(u).wills.get(&v) {
+            for u in graph.neighbors(v) {
+                match self.net.process(u).will_of(v) {
                     None => return Err(format!("{u:?} holds no will of {v:?}")),
-                    Some(w) if w != &actual => {
+                    Some(w) if !matches(w) => {
                         return Err(format!(
-                            "{u:?} holds a stale will of {v:?}: {w:?} vs {actual:?}"
+                            "{u:?} holds a stale will of {v:?}: {w:?} vs {:?}",
+                            actual()
                         ));
                     }
                     Some(_) => {}
@@ -424,6 +480,49 @@ mod tests {
         let d = DistributedForgivingGraph::new(&gen::star(5));
         d.check_wills().expect("setup wills consistent");
         assert_eq!(d.node(n(1)).will_of(n(0)).expect("hub will").len(), 4);
+    }
+
+    #[test]
+    fn setup_shares_one_snapshot_per_owner() {
+        let d = DistributedForgivingGraph::new(&gen::star(6));
+        let hub = &d.node(n(0)).neighbors;
+        for leaf in 1..6 {
+            assert!(
+                Arc::ptr_eq(&d.node(n(leaf)).wills[&n(0)], hub),
+                "leaf {leaf} files the hub's own list"
+            );
+        }
+    }
+
+    #[test]
+    fn altering_one_filed_will_leaves_the_other_holders_alone() {
+        let mut d = DistributedForgivingGraph::new(&gen::star(6));
+        let pristine: Vec<NodeId> = d.node(n(0)).neighbors().to_vec();
+        let w = d
+            .net
+            .process_mut(n(3))
+            .wills
+            .get_mut(&n(0))
+            .expect("leaf 3 holds the hub's will");
+        Arc::make_mut(w).retain(|&u| u != n(5));
+        assert_eq!(d.node(n(0)).neighbors(), pristine, "owner's list untouched");
+        for leaf in [1, 2, 4, 5] {
+            assert_eq!(
+                d.node(n(leaf)).will_of(n(0)),
+                Some(pristine.as_slice()),
+                "leaf {leaf}'s copy untouched"
+            );
+        }
+        assert_eq!(d.node(n(3)).will_of(n(0)).map(<[NodeId]>::len), Some(4));
+        let err = d.check_wills().expect_err("the altered copy is stale");
+        let stale = format!("{:?} holds a stale will of {:?}:", n(3), n(0));
+        assert!(err.starts_with(&stale), "{err}");
+    }
+
+    #[test]
+    fn joiner_sorts_and_dedups_its_anchors() {
+        let j = FgNode::joiner(n(9), &[n(4), n(1), n(4), n(2)]);
+        assert_eq!(j.neighbors(), [n(1), n(2), n(4)]);
     }
 
     #[test]

@@ -52,8 +52,9 @@ pub struct GraphStressConfig {
     pub seed: u64,
     /// BFS sources sampled by the stretch pass.
     pub stretch_sources: usize,
-    /// Worker threads: shards the round engine's heavy rounds *and* the
-    /// full stretch pass's BFS sources (1 = sequential; results are
+    /// Worker threads: shards the round engine's heavy rounds, the full
+    /// stretch pass's BFS sources, *and* the incremental tracker's source
+    /// builds and per-wave repairs (1 = sequential; results are
     /// byte-identical for any value).
     pub threads: usize,
     /// Stretch engine: `incremental` (default — per-source distance fields
@@ -110,8 +111,9 @@ pub struct GraphStressRecord {
     pub elapsed_secs: f64,
     /// The same wall time in milliseconds (the perf-trajectory datapoint).
     pub wall_ms: f64,
-    /// Wall-clock milliseconds of the sampled stretch pass (the other
-    /// sharded hot path).
+    /// Wall-clock milliseconds of the sampled stretch measurement (the
+    /// other sharded hot path): the full pass, or the incremental
+    /// tracker's build + per-wave repairs + final report.
     pub stretch_wall_ms: f64,
     /// Wall-clock seconds the churn planner took (not in the JSON record).
     pub plan_secs: f64,
@@ -390,19 +392,24 @@ pub fn run_graph_stress(cfg: &GraphStressConfig) -> GraphStressRecord {
         ..CampaignConfig::default()
     });
     // The incremental tracker is armed before the first wave and repairs
-    // its fields from each wave's drained churn journal; its wall time is
-    // metered separately so `elapsed_secs` stays campaign-only.
+    // its fields from each wave's drained churn journal; its wall time
+    // (build included) is metered separately so `elapsed_secs` stays
+    // campaign-only.
+    let build = Instant::now();
     let mut tracker = if cfg.stretch_mode == "full" {
         None
     } else {
         dist.network_mut().set_churn_journal(true);
-        Some(StretchTracker::new(
+        Some(StretchTracker::with_threads(
             dist.graph(),
             dist.pristine(),
             cfg.stretch_sources,
             cfg.seed,
+            cfg.threads.max(1),
         ))
     };
+    let build_secs = build.elapsed().as_secs_f64();
+    // tracker repairs inside the campaign window (plus, later, its report)
     let mut stretch_wall = 0.0f64;
 
     let start = Instant::now();
@@ -487,7 +494,7 @@ pub fn run_graph_stress(cfg: &GraphStressConfig) -> GraphStressRecord {
                     "incremental stretch diverged from the full-sweep oracle"
                 );
             }
-            (report, t.cost(), stretch_wall * 1e3)
+            (report, t.cost(), (build_secs + stretch_wall) * 1e3)
         }
     };
     let within_bounds = stretch.disconnected_pairs == 0
@@ -726,5 +733,24 @@ mod tests {
         assert_eq!(fp(&rec1), fp(&rec2), "faulty record thread-invariant");
         assert_eq!(rec1.cost, rec2.cost, "faulty engine costs bit-identical");
         assert_eq!(rec1.stretch, rec2.stretch, "stretch pass bit-identical");
+    }
+
+    /// Copy-on-write will snapshots keep a holder whose `WillDelta` was
+    /// lost on its stale copy, so message loss still surfaces as a failed
+    /// will audit rather than being papered over by a shared list.
+    #[test]
+    fn lost_will_deltas_fail_the_will_audit() {
+        let rec = run_graph_stress(&GraphStressConfig {
+            nodes: 200,
+            events: 60,
+            wave_size: 6,
+            seed: 4,
+            stretch_sources: 4,
+            faults: "loss".into(),
+            ..GraphStressConfig::default()
+        });
+        assert!(rec.lost > 0, "the loss model dropped mail");
+        assert!(!rec.wills_ok, "a lost delta leaves a stale will");
+        assert!(rec.balanced, "books still balance");
     }
 }

@@ -209,6 +209,38 @@ pub(crate) fn sampled_flags(capacity: usize, picked: &[NodeId]) -> Vec<bool> {
     sampled
 }
 
+/// Maps `f` over `items` on up to `threads` scoped workers, one contiguous
+/// chunk of `items` per worker, and returns the results in item order.
+/// Callers fold the results in that order, so a sharded pass cannot be
+/// told apart from the sequential one (`threads <= 1` runs inline).
+pub(crate) fn map_in_sample_order<T: Send, R: Send>(
+    items: Vec<T>,
+    threads: usize,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    let threads = threads.max(1).min(items.len().max(1));
+    if threads <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let (f, len) = (&f, items.len());
+    let mut items = items.into_iter();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let chunk: Vec<T> = items
+                    .by_ref()
+                    .take(len * (t + 1) / threads - len * t / threads)
+                    .collect();
+                scope.spawn(move || chunk.into_iter().map(f).collect::<Vec<R>>())
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("sample-order worker"))
+            .collect()
+    })
+}
+
 /// One source's full pass: both BFS fields plus the pair comparison.
 fn source_pass(
     healed: &Graph,
@@ -247,37 +279,10 @@ pub fn measure_stretch_full(
     let picked = select_sources(healed, sources, seed);
     let sampled = sampled_flags(healed.capacity(), &picked);
 
-    let threads = threads.max(1).min(picked.len().max(1));
-    let passes: Vec<(SourcePass, OperationCost)> = if threads <= 1 {
-        picked
-            .iter()
-            .map(|&src| source_pass(healed, pristine, src, &sampled))
-            .collect()
-    } else {
-        // One contiguous chunk of the sample per worker; worker results are
-        // re-concatenated in sample order below, so the fold cannot tell
-        // the difference from the sequential pass.
-        let sampled = &sampled;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let lo = picked.len() * t / threads;
-                    let hi = picked.len() * (t + 1) / threads;
-                    let chunk = &picked[lo..hi];
-                    scope.spawn(move || {
-                        chunk
-                            .iter()
-                            .map(|&src| source_pass(healed, pristine, src, sampled))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("stretch worker"))
-                .collect()
-        })
-    };
+    let picked_len = picked.len();
+    let passes = map_in_sample_order(picked, threads, |src| {
+        source_pass(healed, pristine, src, &sampled)
+    });
 
     let mut cost = OperationCost::ZERO;
     let folded: Vec<SourcePass> = passes
@@ -287,7 +292,7 @@ pub fn measure_stretch_full(
             p
         })
         .collect();
-    (fold_passes(picked.len(), &folded), cost)
+    (fold_passes(picked_len, &folded), cost)
 }
 
 /// [`measure_stretch_full`] with one thread, figures only — the historical

@@ -33,12 +33,19 @@
 //!
 //! Repair work is charged to an [`OperationCost`]: support probes and
 //! Dijkstra settles as `node_visits`, adjacency reads as `edge_scans`,
-//! stale heap pops and per-wave sample-reselection probes as `seeks`. The
-//! tracker is deliberately sequential, so its counters are trivially
-//! independent of the campaign's thread count.
+//! stale heap pops and per-wave sample-reselection probes as `seeks`.
+//!
+//! Sources are independent, so the tracker builds and repairs them on up
+//! to `threads` workers ([`StretchTracker::with_threads`]), one contiguous
+//! chunk of the sample per worker. Every source's new state and cost come
+//! back in sample order and are folded in that order on the calling
+//! thread, exactly as the full pass folds its sharded BFS sweeps — so the
+//! fields, [`StretchTracker::report`] and [`StretchTracker::cost`] are
+//! bit-identical at any thread count.
 
 use crate::stretch::{
-    bfs_with_cost, fold_passes, pair_pass, sampled_flags, select_sources, SourcePass, StretchReport,
+    bfs_with_cost, fold_passes, map_in_sample_order, pair_pass, sampled_flags, select_sources,
+    SourcePass, StretchReport,
 };
 use ft_costs::{count, OperationCost};
 use ft_graph::bfs::DistanceMap;
@@ -59,14 +66,16 @@ struct SourceState {
 
 impl SourceState {
     /// Builds both fields from scratch (new or promoted source).
-    fn build(healed: &Graph, pristine: &Graph, src: NodeId, cost: &mut OperationCost) -> Self {
-        let dh = bfs_with_cost(healed, src, cost);
-        let dp = bfs_with_cost(pristine, src, cost);
-        SourceState {
+    fn build(healed: &Graph, pristine: &Graph, src: NodeId) -> (Self, OperationCost) {
+        let mut cost = OperationCost::ZERO;
+        let dh = bfs_with_cost(healed, src, &mut cost);
+        let dp = bfs_with_cost(pristine, src, &mut cost);
+        let state = SourceState {
             src,
             healed: dh,
             pristine: dp,
-        }
+        };
+        (state, cost)
     }
 
     /// Repairs both fields against one wave's journal.
@@ -214,6 +223,8 @@ pub struct StretchTracker {
     /// Requested sample size (clamped to the live set at selection time).
     k: usize,
     seed: u64,
+    /// Workers that build and repair sources (1 = inline).
+    threads: usize,
     /// Maintained per-source state, ascending by source id (sample order).
     sources: Vec<SourceState>,
     cost: OperationCost,
@@ -221,19 +232,33 @@ pub struct StretchTracker {
 
 impl StretchTracker {
     /// Selects the min-wise sample over `healed`'s live set and builds
-    /// every source's distance fields from scratch.
+    /// every source's distance fields from scratch, on one thread.
     pub fn new(healed: &Graph, pristine: &Graph, sources: usize, seed: u64) -> Self {
+        Self::with_threads(healed, pristine, sources, seed, 1)
+    }
+
+    /// [`StretchTracker::new`] building, and later repairing, the sources
+    /// on up to `threads` workers. Fields, report and cost are identical
+    /// for any `threads`.
+    pub fn with_threads(
+        healed: &Graph,
+        pristine: &Graph,
+        sources: usize,
+        seed: u64,
+        threads: usize,
+    ) -> Self {
         let picked = select_sources(healed, sources, seed);
-        let mut cost = OperationCost::ZERO;
-        let states = picked
-            .iter()
-            .map(|&src| SourceState::build(healed, pristine, src, &mut cost))
-            .collect();
+        let built = map_in_sample_order(picked, threads, |src| {
+            SourceState::build(healed, pristine, src)
+        });
+        // states stay in sample order; costs are summed in that order
+        let (states, costs): (Vec<SourceState>, Vec<OperationCost>) = built.into_iter().unzip();
         StretchTracker {
             k: sources,
             seed,
+            threads,
             sources: states,
-            cost,
+            cost: costs.into_iter().sum(),
         }
     }
 
@@ -247,23 +272,27 @@ impl StretchTracker {
         // one reselection probe per live node (the priority scan)
         self.cost.seeks += count(healed.len());
         let mut old = std::mem::take(&mut self.sources).into_iter().peekable();
-        let mut cost = OperationCost::ZERO;
-        for &src in &picked {
-            // drop states whose source left the sample (died or demoted)
-            while old.peek().is_some_and(|s| s.src < src) {
-                old.next();
-            }
-            let state = match old.peek() {
-                Some(s) if s.src == src => {
-                    let mut s = old.next().expect("peeked");
-                    cost += s.repair(healed, pristine, journal);
-                    s
+        // pair every picked source with its retained state, if any
+        let jobs: Vec<(NodeId, Option<SourceState>)> = picked
+            .into_iter()
+            .map(|src| {
+                // drop states whose source left the sample (died or demoted)
+                while old.peek().is_some_and(|s| s.src < src) {
+                    old.next();
                 }
-                _ => SourceState::build(healed, pristine, src, &mut cost),
-            };
-            self.sources.push(state);
-        }
-        self.cost += cost;
+                (src, old.next_if(|s| s.src == src))
+            })
+            .collect();
+        let done = map_in_sample_order(jobs, self.threads, |(src, kept)| match kept {
+            Some(mut s) => {
+                let cost = s.repair(healed, pristine, journal);
+                (s, cost)
+            }
+            None => SourceState::build(healed, pristine, src),
+        });
+        let (states, costs): (Vec<SourceState>, Vec<OperationCost>) = done.into_iter().unzip();
+        self.sources = states;
+        self.cost += costs.into_iter().sum();
     }
 
     /// Scores the maintained fields exactly as the full pass scores fresh
@@ -303,8 +332,10 @@ mod tests {
     /// by hand — deletions with a path-heal over the victim's neighbors,
     /// anchored insertions mirrored into the pristine graph, plus a few
     /// chord adds — journaling exactly what the engine would journal, and
-    /// checks the tracker against the full oracle after every wave.
-    fn churn_and_check(seed: u64, n: usize, waves: usize, k: usize) {
+    /// checks one tracker per entry of `threads` against the full oracle
+    /// (figures) and against the first tracker (figures and cost) after
+    /// every wave.
+    fn churn_and_check(seed: u64, n: usize, waves: usize, k: usize, threads: &[usize]) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut pristine = gen::random_tree(n, &mut rng);
         for _ in 0..n / 5 {
@@ -315,7 +346,10 @@ mod tests {
             }
         }
         let mut healed = pristine.clone();
-        let mut tracker = StretchTracker::new(&healed, &pristine, k, seed);
+        let mut trackers: Vec<StretchTracker> = threads
+            .iter()
+            .map(|&t| StretchTracker::with_threads(&healed, &pristine, k, seed, t))
+            .collect();
         for wave in 0..waves {
             let mut j = ChurnJournal::default();
             for _ in 0..3 {
@@ -354,18 +388,29 @@ mod tests {
             if a != b && healed.add_edge(a, b) {
                 j.edges_added.push((a, b));
             }
-            tracker.apply_wave(&healed, &pristine, &j);
-            let inc = tracker.report(&healed);
             let (full, _) = measure_stretch_full(&healed, &pristine, k, seed, 1);
-            assert_eq!(inc, full, "seed {seed}, wave {wave} diverged from oracle");
+            for (tracker, t) in trackers.iter_mut().zip(threads) {
+                tracker.apply_wave(&healed, &pristine, &j);
+                let inc = tracker.report(&healed);
+                assert_eq!(inc, full, "seed {seed}, wave {wave}, threads {t}: oracle");
+            }
+            let (first, rest) = trackers.split_first().expect("one tracker at least");
+            for (tracker, t) in rest.iter().zip(&threads[1..]) {
+                assert_eq!(tracker.report(&healed), first.report(&healed));
+                assert_eq!(
+                    tracker.cost(),
+                    first.cost(),
+                    "seed {seed}, wave {wave}, threads {t}: cost"
+                );
+            }
         }
-        assert!(!tracker.cost().is_zero(), "repairs were charged");
+        assert!(!trackers[0].cost().is_zero(), "repairs were charged");
     }
 
     #[test]
     fn tracker_matches_full_oracle_over_random_churn() {
         for seed in [3u64, 17, 40] {
-            churn_and_check(seed, 120, 6, 10);
+            churn_and_check(seed, 120, 6, 10, &[1]);
         }
     }
 
@@ -373,7 +418,19 @@ mod tests {
     fn tracker_survives_full_sampling_and_source_death() {
         // k >= n: every live node is a source, so deletions always kill
         // sources and force promotion of fresh ones.
-        churn_and_check(8, 40, 5, 64);
+        churn_and_check(8, 40, 5, 64, &[1]);
+    }
+
+    /// Mirrors `sharded_pass_is_bit_identical_to_sequential`: sharding the
+    /// build and the per-wave repairs changes neither figures nor cost,
+    /// with (k < n) and without (k >= n) surviving sources to repair.
+    #[test]
+    fn tracker_is_thread_count_invariant() {
+        let threads = [1, 2, 3, 7];
+        for seed in [5u64, 29] {
+            churn_and_check(seed, 150, 6, 12, &threads);
+        }
+        churn_and_check(11, 40, 5, 64, &threads);
     }
 
     #[test]
