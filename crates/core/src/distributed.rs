@@ -47,7 +47,7 @@ use crate::shape::{Portion, PortionRef, SubRtShape};
 use ft_graph::tree::RootedTree;
 use ft_graph::{Graph, NodeId};
 use ft_sim::{Ctx, Network, Process};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// A virtual-node reference: the real simulator plus which of its (at most
 /// two) virtual nodes is meant.
@@ -240,26 +240,38 @@ enum LostChild {
     },
 }
 
+/// What only a will owner keeps: boxed, so that leaves (most nodes) do not
+/// carry it.
+#[derive(Debug)]
+struct Owner {
+    /// My will over my slot representatives (`SubRT(v)`); never empty.
+    will: SubRtShape,
+    /// Portions I last sent, ascending by representative, for diffing.
+    sent_portions: Vec<(NodeId, DPortion)>,
+    /// The `(pos_parent, role)` that `sent_portions` was computed from.
+    /// Every will edit resets it to `None`, so an equal value means no input
+    /// of [`FtNode::compute_portions`] has changed since.
+    portions_from: Option<(Option<VRef>, Option<DRole>)>,
+}
+
 /// One processor of the distributed Forgiving Tree.
 #[derive(Debug)]
 pub struct FtNode {
     id: NodeId,
     /// Parent of my position vnode (`parent(v)` of Table 1).
     pos_parent: Option<VRef>,
-    /// My will over my slot representatives (`SubRT(v)`).
-    will: Option<SubRtShape>,
+    /// My will and its bookkeeping; `None` once I am a leaf.
+    owner: Option<Box<Owner>>,
     /// LeafWills filed with me by nodes whose virtual parent I simulate.
     leaf_wills: BTreeMap<NodeId, Option<DRole>>,
     /// The portion of my owner's will addressed to me.
     portion: Option<DPortion>,
     /// My helper-role fields.
     role: Option<DRole>,
-    /// Portions I last sent, for diffing.
-    sent_portions: BTreeMap<NodeId, DPortion>,
     /// LeafWill I last sent, and to whom.
     sent_leafwill: Option<(NodeId, Option<DRole>)>,
-    /// Edge interests currently held.
-    desired: BTreeSet<NodeId>,
+    /// Edge interests currently held, ascending.
+    desired: Vec<NodeId>,
 }
 
 impl FtNode {
@@ -267,13 +279,12 @@ impl FtNode {
         FtNode {
             id,
             pos_parent: None,
-            will: None,
+            owner: None,
             leaf_wills: BTreeMap::new(),
             portion: None,
             role: None,
-            sent_portions: BTreeMap::new(),
             sent_leafwill: None,
-            desired: BTreeSet::new(),
+            desired: Vec::new(),
         }
     }
 
@@ -298,40 +309,53 @@ impl FtNode {
         }
     }
 
-    /// The neighbor set my fields demand.
-    fn desired_neighbors(&self) -> BTreeSet<NodeId> {
-        let mut out = BTreeSet::new();
+    /// The neighbor set my fields demand, ascending.
+    fn desired_neighbors(&self) -> Vec<NodeId> {
+        let mut out = Vec::new();
         if let Some(p) = self.pos_parent {
-            out.insert(p.sim);
+            out.push(p.sim);
         }
-        if let Some(w) = &self.will {
-            out.extend(w.reps());
+        if let Some(o) = &self.owner {
+            out.extend(o.will.reps());
         }
         if let Some(r) = &self.role {
-            if let Some(hp) = r.hparent {
-                out.insert(hp.sim);
-            }
+            out.extend(r.hparent.map(|hp| hp.sim));
             out.extend(r.hchildren.iter().map(|c| c.sim));
         }
-        out.remove(&self.id);
+        out.sort_unstable();
+        out.dedup();
+        out.retain(|&u| u != self.id);
         out
     }
 
+    /// Adds the edges I newly want and releases the ones I no longer want,
+    /// each in ascending order (one merge walk of the two sorted sets).
     fn sync_edges(&mut self, ctx: &mut Ctx<'_, FtMsg>) {
         let want = self.desired_neighbors();
-        for &u in want.difference(&self.desired) {
-            ctx.add_edge(u);
-        }
-        for &u in self.desired.difference(&want) {
-            ctx.send(u, FtMsg::Release);
+        let (mut i, mut j) = (0, 0);
+        while i < want.len() || j < self.desired.len() {
+            match (want.get(i), self.desired.get(j)) {
+                (Some(u), Some(v)) if u == v => {
+                    i += 1;
+                    j += 1;
+                }
+                (Some(&u), v) if v.is_none_or(|&v| u < v) => {
+                    ctx.add_edge(u);
+                    i += 1;
+                }
+                _ => {
+                    ctx.send(self.desired[j], FtMsg::Release);
+                    j += 1;
+                }
+            }
         }
         self.desired = want;
     }
 
     /// Computes the portions my current will + fields imply.
-    fn compute_portions(&self) -> BTreeMap<NodeId, DPortion> {
-        let Some(will) = &self.will else {
-            return BTreeMap::new();
+    fn compute_portions(&self) -> Vec<(NodeId, DPortion)> {
+        let Some(Owner { will, .. }) = self.owner.as_deref() else {
+            return Vec::new();
         };
         let heir = will.heir().expect("nonempty will");
         let top = match &self.role {
@@ -348,9 +372,8 @@ impl FtNode {
             }
             None => VRef::helper(heir),
         };
-        will.all_portions()
-            .into_iter()
-            .map(|(rep, p)| (rep, self.lower_portion(&p, top, will)))
+        will.reps()
+            .map(|rep| (rep, self.lower_portion(&will.portion(rep), top, will)))
             .collect()
     }
 
@@ -395,20 +418,69 @@ impl FtNode {
         }
     }
 
-    /// Sends portions that changed since last time (O(1) per event).
+    /// Sends portions that changed since last time (O(1) per event). The
+    /// portions are recomputed only when an input changed: the will, `role`
+    /// or `pos_parent`.
     fn refresh_portions(&mut self, ctx: &mut Ctx<'_, FtMsg>) {
+        let Some(owner) = self.owner.as_deref() else {
+            return;
+        };
+        if owner
+            .portions_from
+            .as_ref()
+            .is_some_and(|(p, r)| *p == self.pos_parent && *r == self.role)
+        {
+            debug_assert!(
+                self.compute_portions() == owner.sent_portions,
+                "{:?}: skipped a portion refresh whose inputs changed",
+                self.id
+            );
+            return;
+        }
         let fresh = self.compute_portions();
+        let owner = self.owner.as_deref_mut().expect("checked above");
         for (rep, portion) in &fresh {
-            if self.sent_portions.get(rep) != Some(portion) {
+            let sent = owner.sent_portions.binary_search_by_key(rep, |(r, _)| *r);
+            if sent.map(|i| &owner.sent_portions[i].1) != Ok(portion) {
                 ctx.send(*rep, FtMsg::Portion(Box::new(portion.clone())));
             }
         }
-        self.sent_portions = fresh;
+        owner.sent_portions = fresh;
+        owner.portions_from = Some((self.pos_parent, self.role.clone()));
+    }
+
+    /// Whether `rep` represents a slot of my will.
+    fn has_slot(&self, rep: NodeId) -> bool {
+        self.owner.as_ref().is_some_and(|o| o.will.contains(rep))
+    }
+
+    /// Removes `rep`'s slot (and any LeafWill it filed) from my will; I
+    /// become a leaf when it was the last one.
+    fn prune_slot(&mut self, rep: NodeId) {
+        let owner = self
+            .owner
+            .as_deref_mut()
+            .expect("pruning a slot of no will");
+        owner.will.remove_slot(rep);
+        owner.portions_from = None;
+        if owner.will.is_empty() {
+            self.owner = None;
+        }
+        self.leaf_wills.remove(&rep);
+    }
+
+    /// Hands `dead`'s slot to `new_rep`, if `dead` still represents one.
+    fn replace_slot_rep(&mut self, dead: NodeId, new_rep: NodeId) {
+        if let Some(owner) = self.owner.as_deref_mut().filter(|o| o.will.contains(dead)) {
+            owner.will.replace_rep(dead, new_rep);
+            owner.portions_from = None;
+            self.leaf_wills.remove(&dead);
+        }
     }
 
     /// Refreshes the LeafWill my parent holds, when I am a leaf.
     fn refresh_leafwill(&mut self, ctx: &mut Ctx<'_, FtMsg>) {
-        if self.will.is_some() {
+        if self.owner.is_some() {
             return; // not a leaf
         }
         let Some(target) = self.parent_sim() else {
@@ -591,7 +663,7 @@ impl FtNode {
         // 4. Apply a deferred local occupancy (my own position under my own
         //    freshly installed helper).
         if local_attach {
-            self.apply_occupy(self.id, my_slot_occupant, Some(VRef::pos(owner)));
+            self.apply_occupy(self.id, my_slot_occupant, Some(VRef::pos(owner)), ctx);
         }
         self.settle(ctx);
     }
@@ -599,11 +671,17 @@ impl FtNode {
     /// Records `child` as the occupant of `slot` under my helper, replacing
     /// a stale entry when one is named (shared by the OccupySlot handler and
     /// local self-attachment).
-    fn apply_occupy(&mut self, slot: NodeId, child: VRef, replacing: Option<VRef>) {
-        let role = self
-            .role
-            .as_mut()
-            .unwrap_or_else(|| panic!("{:?}: occupancy without a role", self.id));
+    fn apply_occupy(
+        &mut self,
+        slot: NodeId,
+        child: VRef,
+        replacing: Option<VRef>,
+        ctx: &Ctx<'_, FtMsg>,
+    ) {
+        let Some(role) = self.role.as_mut() else {
+            assert!(ctx.faulty(), "{:?}: occupancy without a role", self.id);
+            return;
+        };
         if let Some(i) = role.pending_slots.iter().position(|s| *s == slot) {
             role.pending_slots.remove(i);
             role.hchildren.push(child);
@@ -622,6 +700,10 @@ impl FtNode {
     /// My helper lost child `gone`; splice or dissolve as required.
     /// `suppress` names a survivor the caller will rewire locally (its
     /// simulator is dead), so no message should be sent to it.
+    ///
+    /// Under faults, duplicated, lost or late mail can leave my helper with
+    /// a child count the protocol never produces. I then stay as I am and
+    /// the broken structure shows in the run's connectivity verdict.
     fn helper_lost_child(
         &mut self,
         gone: VRef,
@@ -631,39 +713,30 @@ impl FtNode {
         let role = self.role.as_mut().expect("helper_lost_child without role");
         let before = role.child_count();
         role.hchildren.retain(|c| *c != gone);
-        assert_eq!(
-            role.child_count() + 1,
-            before,
-            "{:?}: lost child {gone:?} was not mine",
-            self.id
-        );
+        if !ctx.faulty() {
+            assert_eq!(
+                role.child_count() + 1,
+                before,
+                "{:?}: lost child {gone:?} was not mine",
+                self.id
+            );
+        }
         if role.ready {
-            assert_eq!(role.child_count(), 0, "ready vnodes have one child");
-            let hp = role.hparent;
-            self.role = None;
-            match hp {
-                Some(hp) if hp.helper => ctx.send(
-                    hp.sim,
-                    FtMsg::SpliceChild {
-                        your_end: hp,
-                        gone: VRef::helper(self.id),
-                        survivor: VRef::helper(self.id),
-                    },
-                ),
-                Some(hp) => ctx.send(hp.sim, FtMsg::SlotDissolved { rep: self.id }),
-                None => {}
+            if role.child_count() > 0 {
+                assert!(ctx.faulty(), "ready vnodes have one child");
+                return LostChild::Kept;
             }
+            self.helper_dissolved(ctx);
             return LostChild::Dissolved;
         }
         if role.child_count() > 1 {
             return LostChild::Kept;
         }
         // redundant degree-2 helper: short-circuit myself
-        assert!(
-            role.pending_slots.is_empty(),
-            "short-circuit during instantiation"
-        );
-        let survivor = role.hchildren[0];
+        let (true, &[survivor]) = (role.pending_slots.is_empty(), role.hchildren.as_slice()) else {
+            assert!(ctx.faulty(), "short-circuit during instantiation");
+            return LostChild::Kept;
+        };
         let hp = role.hparent;
         self.role = None;
         if let Some(hp) = hp {
@@ -708,12 +781,18 @@ impl FtNode {
     }
 
     /// Adopts a dead leaf's helper duties (LeafWill execution, Alg 3.7).
+    /// Under faults, lost or late mail can leave me busy here; the duties
+    /// are then dropped and the broken structure shows in the run's
+    /// connectivity verdict.
     fn adopt_leafwill(&mut self, dead: NodeId, lw: DRole, ctx: &mut Ctx<'_, FtMsg>) {
-        assert!(
-            self.role.is_none(),
-            "{:?}: adopter must be free after the splice",
-            self.id
-        );
+        if self.role.is_some() {
+            assert!(
+                ctx.faulty(),
+                "{:?}: adopter must be free after the splice",
+                self.id
+            );
+            return;
+        }
         let ready = lw.ready;
         for c in lw.hchildren.clone() {
             if c.sim == self.id {
@@ -761,14 +840,11 @@ impl Process for FtNode {
         }
         let lw_entry = self.leaf_wills.remove(&dead);
         // Relation: dead was one of my will representatives.
-        if self.will.as_ref().is_some_and(|w| w.contains(dead)) {
+        if self.has_slot(dead) {
             match &lw_entry {
                 Some(None) => {
                     // plain leaf child: prune the slot
-                    self.will.as_mut().expect("have will").remove_slot(dead);
-                    if self.will.as_ref().expect("have will").is_empty() {
-                        self.will = None;
-                    }
+                    self.prune_slot(dead);
                 }
                 Some(Some(r))
                     if r.hparent == Some(VRef::pos(self.id))
@@ -776,12 +852,10 @@ impl Process for FtNode {
                 {
                     // promoted rep whose ready vnode carried only its own
                     // position: the whole slot dissolves
-                    self.will.as_mut().expect("have will").remove_slot(dead);
-                    if self.will.as_ref().expect("have will").is_empty() {
-                        self.will = None;
-                    }
+                    self.prune_slot(dead);
                 }
-                Some(Some(_)) => unreachable!(
+                Some(Some(_)) => assert!(
+                    ctx.faulty(),
                     "a leaf directly under its live original parent cannot hold a role"
                 ),
                 None => {
@@ -871,7 +945,8 @@ impl Process for FtNode {
                                 },
                             );
                         }
-                        _ => unreachable!("helpers are binary"),
+                        // more survivors: only lost or late mail gets here
+                        _ => assert!(ctx.faulty(), "helpers are binary"),
                     }
                     self.settle(ctx);
                     return;
@@ -901,7 +976,7 @@ impl Process for FtNode {
                 replacing,
             } => {
                 if your_end.helper {
-                    self.apply_occupy(slot, child, replacing);
+                    self.apply_occupy(slot, child, replacing, ctx);
                 } else {
                     // occupant of one of my will slots announcing itself: my
                     // slots are tracked by representative already; nothing
@@ -923,12 +998,7 @@ impl Process for FtNode {
                             }
                         }
                     } else if let Some(dead) = ready_rep_replace {
-                        if let Some(w) = &mut self.will {
-                            if w.contains(dead) {
-                                w.replace_rep(dead, new.sim);
-                                self.leaf_wills.remove(&dead);
-                            }
-                        }
+                        self.replace_slot_rep(dead, new.sim);
                     }
                 } else {
                     if self.pos_parent == Some(old) {
@@ -955,11 +1025,8 @@ impl Process for FtNode {
                             *e = VRef::helper(new_rep);
                         }
                     }
-                } else if let Some(w) = &mut self.will {
-                    if w.contains(dead) {
-                        w.replace_rep(dead, new_rep);
-                        self.leaf_wills.remove(&dead);
-                    }
+                } else {
+                    self.replace_slot_rep(dead, new_rep);
                 }
             }
             FtMsg::SpliceChild {
@@ -996,14 +1063,8 @@ impl Process for FtNode {
                 self.apply_splice_parent(your_end, gone, new_p);
             }
             FtMsg::SlotDissolved { rep } => {
-                if let Some(w) = &mut self.will {
-                    if w.contains(rep) {
-                        w.remove_slot(rep);
-                        self.leaf_wills.remove(&rep);
-                        if w.is_empty() {
-                            self.will = None;
-                        }
-                    }
+                if self.has_slot(rep) {
+                    self.prune_slot(rep);
                 }
             }
             FtMsg::Reattach {
@@ -1032,7 +1093,8 @@ impl Process for FtNode {
                 }
             }
             FtMsg::Release => {
-                if !self.desired_neighbors().contains(&from) {
+                // `desired` mirrors my fields after every callback
+                if self.desired.binary_search(&from).is_err() {
                     ctx.drop_edge(from);
                 }
                 return;
@@ -1104,35 +1166,32 @@ impl DistributedForgivingTree {
     /// `ft_sim::bfs` + experiment E9).
     pub fn new(tree: &RootedTree) -> Self {
         let mut net = Network::new(tree.to_graph(), FtNode::new);
-        let ids: Vec<NodeId> = tree.nodes().collect();
-        let mut portions: BTreeMap<NodeId, DPortion> = BTreeMap::new();
-        for &v in &ids {
+        for v in tree.nodes() {
             let node = net.process_mut(v);
             node.pos_parent = tree.parent(v).map(VRef::pos);
             let children = tree.children(v);
-            if !children.is_empty() {
-                node.will = Some(SubRtShape::build(children));
+            if children.is_empty() {
+                node.sent_leafwill = tree.parent(v).map(|p| (p, None));
+            } else {
+                node.owner = Some(Box::new(Owner {
+                    will: SubRtShape::build(children),
+                    sent_portions: Vec::new(),
+                    portions_from: Some((node.pos_parent, None)),
+                }));
                 for &c in children {
                     if tree.is_leaf(c) {
                         node.leaf_wills.insert(c, None);
                     }
                 }
             }
-        }
-        for &v in &ids {
-            let node = net.process_mut(v);
-            let computed = node.compute_portions();
-            node.sent_portions = computed.clone();
             node.desired = node.desired_neighbors();
-            if node.will.is_none() {
-                if let Some(p) = tree.parent(v) {
-                    node.sent_leafwill = Some((p, None));
-                }
+            let portions = node.compute_portions();
+            for (rep, p) in &portions {
+                net.process_mut(*rep).portion = Some(p.clone());
             }
-            portions.extend(computed);
-        }
-        for (rep, p) in portions {
-            net.process_mut(rep).portion = Some(p);
+            if let Some(owner) = &mut net.process_mut(v).owner {
+                owner.sent_portions = portions;
+            }
         }
         DistributedForgivingTree { net }
     }

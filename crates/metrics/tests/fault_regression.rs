@@ -8,7 +8,7 @@
 //! being deterministic (or changed semantics) and must be understood
 //! before the pin is moved.
 
-use ft_metrics::{run_graph_stress, GraphStressConfig};
+use ft_metrics::{run_graph_stress, run_stress, GraphStressConfig, StressConfig};
 
 #[test]
 fn seeded_regression_pins_faulty_ten_thousand_node_figures() {
@@ -57,4 +57,63 @@ fn seeded_regression_pins_faulty_ten_thousand_node_figures() {
         "survival verdicts"
     );
     assert_eq!(rec.cost.messages_delivered, 1105, "engine cost spine");
+}
+
+/// Lost, duplicated or late mail can leave a tree processor in a state the
+/// fault-free protocol never produces. Each campaign below is the smallest
+/// one found that reaches one such state; every one of them used to abort
+/// the run with a panic. The processor now skips the impossible step, the
+/// books still balance, and the damage is left to the record's verdicts.
+#[test]
+fn tree_processor_survives_fault_states_without_panicking() {
+    let cases: [(usize, usize, &str, u64, &str); 7] = [
+        (30, 18, "chaos", 25, "adopter still busy after the splice"),
+        (
+            30,
+            29,
+            "partition",
+            12,
+            "a dissolving helper with two survivors",
+        ),
+        (30, 29, "loss", 26, "a ready vnode with more than one child"),
+        (
+            30,
+            29,
+            "chaos",
+            19,
+            "a short-circuit with a slot unoccupied",
+        ),
+        (30, 29, "loss", 36, "a leaf holding a role under its parent"),
+        (
+            100,
+            99,
+            "loss",
+            54,
+            "an occupant announcing itself to no helper",
+        ),
+        (
+            800,
+            799,
+            "chaos",
+            53,
+            "a helper losing a child listed twice",
+        ),
+    ];
+    for (nodes, deletions, faults, seed, state) in cases {
+        let rec = run_stress(&StressConfig {
+            nodes,
+            deletions,
+            wave_size: 10,
+            seed,
+            threads: 1,
+            faults: faults.into(),
+            ..StressConfig::default()
+        });
+        assert!(rec.balanced, "{state}: faulty ledger out of balance");
+        assert_eq!(rec.deletions, deletions, "{state}: campaign cut short");
+        assert!(
+            rec.lost + rec.duplicated + rec.delayed > 0,
+            "{state}: no faults"
+        );
+    }
 }
