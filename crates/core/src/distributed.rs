@@ -42,16 +42,16 @@
 //! engine with identical deletion sequences and asserts the healed graphs
 //! are identical after every step.
 
+use crate::inline::{FixedVec, InlineVec};
 use crate::report::HealReport;
-use crate::shape::{Portion, PortionRef, SubRtShape};
+use crate::shape::{Portion, PortionRef, ShapeDelta, SubRtShape};
 use ft_graph::tree::RootedTree;
 use ft_graph::{Graph, NodeId};
 use ft_sim::{Ctx, Network, Process};
-use std::collections::BTreeMap;
 
 /// A virtual-node reference: the real simulator plus which of its (at most
 /// two) virtual nodes is meant.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Default)]
 pub struct VRef {
     /// The simulating real node.
     pub sim: NodeId,
@@ -78,15 +78,19 @@ impl VRef {
 }
 
 /// Helper-role fields (`hparent`, `hchildren`, `isreadyheir` of Table 1).
+///
+/// Both lists are inline (helpers are binary, ready vnodes have one child),
+/// so a role is copied, filed and compared without touching the heap.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DRole {
     /// Parent of the simulated helper (`None` = it is the virtual root).
     pub hparent: Option<VRef>,
     /// Children of the simulated helper.
-    pub hchildren: Vec<VRef>,
+    pub hchildren: InlineVec<VRef, 2>,
     /// Slots of an under-construction SubRT whose occupants have not yet
-    /// attached (drained within the heal's O(1) rounds).
-    pub pending_slots: Vec<NodeId>,
+    /// attached (drained within the heal's O(1) rounds). Only a portion's
+    /// two helper children fill it, so it never holds more than two.
+    pub pending_slots: FixedVec<NodeId, 2>,
     /// Ready-state heir (exactly one child).
     pub ready: bool,
 }
@@ -248,10 +252,15 @@ struct Owner {
     will: SubRtShape,
     /// Portions I last sent, ascending by representative, for diffing.
     sent_portions: Vec<(NodeId, DPortion)>,
+    /// Representatives whose portion may differ from `sent_portions`: what
+    /// the will edits since the last refresh changed, plus the
+    /// representatives they removed. Empty exactly when the will is as of
+    /// the last refresh; the buffer is kept between refreshes.
+    stale: ShapeDelta,
     /// The `(pos_parent, role)` that `sent_portions` was computed from.
-    /// Every will edit resets it to `None`, so an equal value means no input
-    /// of [`FtNode::compute_portions`] has changed since.
-    portions_from: Option<(Option<VRef>, Option<DRole>)>,
+    portions_from: (Option<VRef>, Option<DRole>),
+    /// The will's heir and SubRT-root holder at the last refresh.
+    anchors: (Option<NodeId>, Option<NodeId>),
 }
 
 /// One processor of the distributed Forgiving Tree.
@@ -262,17 +271,25 @@ pub struct FtNode {
     pos_parent: Option<VRef>,
     /// My will and its bookkeeping; `None` once I am a leaf.
     owner: Option<Box<Owner>>,
-    /// LeafWills filed with me by nodes whose virtual parent I simulate.
-    leaf_wills: BTreeMap<NodeId, Option<DRole>>,
-    /// The portion of my owner's will addressed to me.
-    portion: Option<DPortion>,
+    /// LeafWills filed with me by nodes whose virtual parent I simulate,
+    /// ascending by filer.
+    leaf_wills: Vec<(NodeId, Option<DRole>)>,
+    /// The portion of my owner's will addressed to me (kept in the box it
+    /// arrived in).
+    portion: Option<Box<DPortion>>,
     /// My helper-role fields.
     role: Option<DRole>,
     /// LeafWill I last sent, and to whom.
     sent_leafwill: Option<(NodeId, Option<DRole>)>,
-    /// Edge interests currently held, ascending.
-    desired: Vec<NodeId>,
+    /// Edge interests currently held, ascending; inline unless I hold a
+    /// will with more representatives.
+    desired: InlineVec<NodeId, FIELD_NEIGHBORS>,
 }
+
+/// The most neighbors a processor's fields name besides its will's
+/// representatives: its parent, its helper's parent and its helper's two
+/// children.
+const FIELD_NEIGHBORS: usize = 4;
 
 impl FtNode {
     fn new(id: NodeId) -> Self {
@@ -280,11 +297,11 @@ impl FtNode {
             id,
             pos_parent: None,
             owner: None,
-            leaf_wills: BTreeMap::new(),
+            leaf_wills: Vec::new(),
             portion: None,
             role: None,
             sent_leafwill: None,
-            desired: Vec::new(),
+            desired: InlineVec::new(),
         }
     }
 
@@ -309,56 +326,114 @@ impl FtNode {
         }
     }
 
-    /// The neighbor set my fields demand, ascending.
-    fn desired_neighbors(&self) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        if let Some(p) = self.pos_parent {
-            out.push(p.sim);
-        }
-        if let Some(o) = &self.owner {
-            out.extend(o.will.reps());
-        }
+    /// My parent, helper parent and helper children: the neighbors my
+    /// fields demand besides my will's representatives. Ascending, without
+    /// duplicates and without myself.
+    fn extra_neighbors(&self) -> InlineVec<NodeId, FIELD_NEIGHBORS> {
+        let mut extra: InlineVec<NodeId, FIELD_NEIGHBORS> =
+            self.pos_parent.map(|p| p.sim).into_iter().collect();
         if let Some(r) = &self.role {
-            out.extend(r.hparent.map(|hp| hp.sim));
-            out.extend(r.hchildren.iter().map(|c| c.sim));
+            if let Some(hp) = r.hparent {
+                extra.push(hp.sim);
+            }
+            for c in r.hchildren.iter() {
+                extra.push(c.sim);
+            }
         }
-        out.sort_unstable();
-        out.dedup();
-        out.retain(|&u| u != self.id);
-        out
+        extra.sort_unstable();
+        let mut last = None;
+        extra.retain(|&u| {
+            let keep = last != Some(u) && u != self.id;
+            last = Some(u);
+            keep
+        });
+        extra
+    }
+
+    /// Feeds the neighbor set my fields demand to `f`, ascending: my will's
+    /// representatives (already ascending) merged with `extra`.
+    fn each_wanted(&self, extra: &[NodeId], mut f: impl FnMut(NodeId)) {
+        let mut e = 0;
+        if let Some(o) = self.owner.as_deref() {
+            for r in o.will.reps().filter(|&r| r != self.id) {
+                while e < extra.len() && extra[e] <= r {
+                    if extra[e] != r {
+                        f(extra[e]);
+                    }
+                    e += 1;
+                }
+                f(r);
+            }
+        }
+        extra[e..].iter().for_each(|&u| f(u));
     }
 
     /// Adds the edges I newly want and releases the ones I no longer want,
-    /// each in ascending order (one merge walk of the two sorted sets).
+    /// each in ascending order: one merge walk of the wanted set, streamed
+    /// rather than built, against the interests I hold. The wanted set is
+    /// stored only when it differs.
     fn sync_edges(&mut self, ctx: &mut Ctx<'_, FtMsg>) {
-        let want = self.desired_neighbors();
-        let (mut i, mut j) = (0, 0);
-        while i < want.len() || j < self.desired.len() {
-            match (want.get(i), self.desired.get(j)) {
-                (Some(u), Some(v)) if u == v => {
-                    i += 1;
-                    j += 1;
-                }
-                (Some(&u), v) if v.is_none_or(|&v| u < v) => {
-                    ctx.add_edge(u);
-                    i += 1;
-                }
-                _ => {
-                    ctx.send(self.desired[j], FtMsg::Release);
-                    j += 1;
-                }
+        let extra = self.extra_neighbors();
+        let held = &self.desired;
+        let (mut j, mut len, mut same) = (0, 0, true);
+        self.each_wanted(&extra, |u| {
+            while j < held.len() && held[j] < u {
+                ctx.send(held[j], FtMsg::Release);
+                j += 1;
+                same = false;
             }
+            if held.get(j) == Some(&u) {
+                j += 1;
+            } else {
+                ctx.add_edge(u);
+                same = false;
+            }
+            len += 1;
+        });
+        for &v in &held[j..] {
+            ctx.send(v, FtMsg::Release);
+            same = false;
         }
-        self.desired = want;
+        if !same {
+            self.desired = self.wanted(&extra, len);
+        }
     }
 
-    /// Computes the portions my current will + fields imply.
+    /// The `len` neighbors [`FtNode::each_wanted`] feeds, as a list: inline
+    /// when they fit, else in one exact heap block.
+    fn wanted(&self, extra: &[NodeId], len: usize) -> InlineVec<NodeId, FIELD_NEIGHBORS> {
+        let spill = len > FIELD_NEIGHBORS;
+        let mut all = Vec::with_capacity(if spill { len } else { 0 });
+        let mut few = FixedVec::new();
+        self.each_wanted(extra, |u| {
+            if spill {
+                all.push(u);
+            } else {
+                few.push(u);
+            }
+        });
+        if spill {
+            InlineVec::from_vec(all)
+        } else {
+            InlineVec::from(few)
+        }
+    }
+
+    /// Computes every portion my current will + fields imply.
     fn compute_portions(&self) -> Vec<(NodeId, DPortion)> {
         let Some(Owner { will, .. }) = self.owner.as_deref() else {
             return Vec::new();
         };
+        let top = self.top(will);
+        will.reps()
+            .map(|rep| (rep, self.lower_portion(&will.portion(rep), top, will)))
+            .collect()
+    }
+
+    /// Where the SubRT root of `will` attaches when I die.
+    fn top(&self, will: &SubRtShape) -> VRef {
         let heir = will.heir().expect("nonempty will");
-        let top = match &self.role {
+        match &self.role {
             Some(_) => {
                 let t = self.pos_parent.unwrap_or(VRef::helper(heir));
                 if t.sim == self.id {
@@ -371,10 +446,7 @@ impl FtNode {
                 }
             }
             None => VRef::helper(heir),
-        };
-        will.reps()
-            .map(|rep| (rep, self.lower_portion(&will.portion(rep), top, will)))
-            .collect()
+        }
     }
 
     fn lower_portion(&self, p: &Portion, top: VRef, will: &SubRtShape) -> DPortion {
@@ -418,18 +490,21 @@ impl FtNode {
         }
     }
 
-    /// Sends portions that changed since last time (O(1) per event). The
-    /// portions are recomputed only when an input changed: the will, `role`
-    /// or `pos_parent`.
+    /// Sends portions that changed since last time (O(1) per event).
+    ///
+    /// Only the portions an input change can reach are recomputed: those the
+    /// will edits since the last refresh named, and those of the heir and
+    /// the SubRT-root holder when `role`, `pos_parent`, the heir or the root
+    /// holder changed (the heir's portion names the root, and the root
+    /// holder's names where it attaches, which depends on the other three).
+    /// Nothing is recomputed when no input changed.
     fn refresh_portions(&mut self, ctx: &mut Ctx<'_, FtMsg>) {
         let Some(owner) = self.owner.as_deref() else {
             return;
         };
-        if owner
-            .portions_from
-            .as_ref()
-            .is_some_and(|(p, r)| *p == self.pos_parent && *r == self.role)
-        {
+        let (p, r) = &owner.portions_from;
+        let fields_same = *p == self.pos_parent && *r == self.role;
+        if fields_same && owner.stale.changed.is_empty() {
             debug_assert!(
                 self.compute_portions() == owner.sent_portions,
                 "{:?}: skipped a portion refresh whose inputs changed",
@@ -437,16 +512,67 @@ impl FtNode {
             );
             return;
         }
-        let fresh = self.compute_portions();
-        let owner = self.owner.as_deref_mut().expect("checked above");
-        for (rep, portion) in &fresh {
-            let sent = owner.sent_portions.binary_search_by_key(rep, |(r, _)| *r);
-            if sent.map(|i| &owner.sent_portions[i].1) != Ok(portion) {
-                ctx.send(*rep, FtMsg::Portion(Box::new(portion.clone())));
+        // the full recompute, diffed against what was sent, is the oracle
+        #[cfg(debug_assertions)]
+        let (full, full_sends) = {
+            let full = self.compute_portions();
+            let sends: Vec<NodeId> = full
+                .iter()
+                .filter(|(rep, p)| {
+                    let sent = owner.sent_portions.binary_search_by_key(rep, |(r, _)| *r);
+                    sent.map(|i| &owner.sent_portions[i].1) != Ok(p)
+                })
+                .map(|(rep, _)| *rep)
+                .collect();
+            (full, sends)
+        };
+        #[cfg(debug_assertions)]
+        let mut sends = Vec::new();
+
+        let mut owner = self.owner.take().expect("checked above");
+        let top = self.top(&owner.will);
+        let now = (owner.will.heir(), owner.will.root_sim());
+        if !fields_same || now != owner.anchors {
+            for rep in [now.0, now.1].into_iter().flatten() {
+                owner.stale.insert(rep);
+            }
+            owner.anchors = now;
+        }
+        for &rep in &owner.stale.changed {
+            let at = owner.sent_portions.binary_search_by_key(&rep, |(r, _)| *r);
+            if !owner.will.contains(rep) {
+                if let Ok(i) = at {
+                    owner.sent_portions.remove(i);
+                }
+                continue;
+            }
+            let fresh = self.lower_portion(&owner.will.portion(rep), top, &owner.will);
+            if at.map(|i| &owner.sent_portions[i].1) == Ok(&fresh) {
+                continue;
+            }
+            ctx.send(rep, FtMsg::Portion(Box::new(fresh.clone())));
+            #[cfg(debug_assertions)]
+            sends.push(rep);
+            match at {
+                Ok(i) => owner.sent_portions[i].1 = fresh,
+                Err(i) => owner.sent_portions.insert(i, (rep, fresh)),
             }
         }
-        owner.sent_portions = fresh;
-        owner.portions_from = Some((self.pos_parent, self.role.clone()));
+        owner.stale.clear();
+        if !fields_same {
+            owner.portions_from = (self.pos_parent, self.role.clone());
+        }
+        self.owner = Some(owner);
+
+        #[cfg(debug_assertions)]
+        {
+            let owner = self.owner.as_deref().expect("restored above");
+            assert!(
+                sends == full_sends && owner.sent_portions == full,
+                "{:?}: the delta refresh sent {sends:?}, the full recompute {full_sends:?}",
+                self.id
+            );
+        }
     }
 
     /// Whether `rep` represents a slot of my will.
@@ -461,20 +587,37 @@ impl FtNode {
             .owner
             .as_deref_mut()
             .expect("pruning a slot of no will");
-        owner.will.remove_slot(rep);
-        owner.portions_from = None;
+        owner.will.remove_slot_into(rep, &mut owner.stale);
+        owner.stale.insert(rep);
         if owner.will.is_empty() {
             self.owner = None;
         }
-        self.leaf_wills.remove(&rep);
+        self.take_leaf_will(rep);
     }
 
     /// Hands `dead`'s slot to `new_rep`, if `dead` still represents one.
     fn replace_slot_rep(&mut self, dead: NodeId, new_rep: NodeId) {
         if let Some(owner) = self.owner.as_deref_mut().filter(|o| o.will.contains(dead)) {
-            owner.will.replace_rep(dead, new_rep);
-            owner.portions_from = None;
-            self.leaf_wills.remove(&dead);
+            owner.will.replace_rep_into(dead, new_rep, &mut owner.stale);
+            owner.stale.insert(dead);
+            self.take_leaf_will(dead);
+        }
+    }
+
+    /// Removes and returns the LeafWill `filer` filed with me, if any.
+    fn take_leaf_will(&mut self, filer: NodeId) -> Option<Option<DRole>> {
+        let i = self
+            .leaf_wills
+            .binary_search_by_key(&filer, |(f, _)| *f)
+            .ok()?;
+        Some(self.leaf_wills.remove(i).1)
+    }
+
+    /// Files `lw` as `filer`'s LeafWill, replacing an earlier one.
+    fn file_leaf_will(&mut self, filer: NodeId, lw: Option<DRole>) {
+        match self.leaf_wills.binary_search_by_key(&filer, |(f, _)| *f) {
+            Ok(i) => self.leaf_wills[i].1 = lw,
+            Err(i) => self.leaf_wills.insert(i, (filer, lw)),
         }
     }
 
@@ -486,12 +629,15 @@ impl FtNode {
         let Some(target) = self.parent_sim() else {
             return;
         };
-        let lw = self.role.clone();
-        if self.sent_leafwill.as_ref() == Some(&(target, lw.clone())) {
+        if self
+            .sent_leafwill
+            .as_ref()
+            .is_some_and(|(t, lw)| *t == target && *lw == self.role)
+        {
             return;
         }
-        ctx.send(target, FtMsg::LeafWill(lw.clone()));
-        self.sent_leafwill = Some((target, lw));
+        ctx.send(target, FtMsg::LeafWill(self.role.clone()));
+        self.sent_leafwill = Some((target, self.role.clone()));
     }
 
     /// Post-event bookkeeping: edges, portions, LeafWill.
@@ -501,12 +647,37 @@ impl FtNode {
         self.refresh_leafwill(ctx);
     }
 
+    /// Whether [`FtNode::settle`] would do nothing: my edge interests, sent
+    /// portions and filed LeafWill all match my fields. Setup and every
+    /// `settle` leave me settled, so a callback that changes none of
+    /// `pos_parent`, `role` or the will may skip `settle`; debug builds
+    /// check that this holds.
+    fn is_settled(&self) -> bool {
+        let extra = self.extra_neighbors();
+        let (mut j, mut edges) = (0, true);
+        self.each_wanted(&extra, |u| {
+            edges &= self.desired.get(j) == Some(&u);
+            j += 1;
+        });
+        edges &= j == self.desired.len();
+        let portions = self.owner.as_deref().is_none_or(|o| {
+            o.stale.changed.is_empty()
+                && o.portions_from == (self.pos_parent, self.role.clone())
+                && self.compute_portions() == o.sent_portions
+        });
+        let leafwill = self.owner.is_some()
+            || self
+                .parent_sim()
+                .is_none_or(|t| self.sent_leafwill == Some((t, self.role.clone())));
+        edges && portions && leafwill
+    }
+
     // ------------------------------------------------------------------
     // portion execution (makeRT + MakeHelper, Algorithms 3.8/3.9)
     // ------------------------------------------------------------------
 
     fn execute_portion(&mut self, ctx: &mut Ctx<'_, FtMsg>) {
-        let portion = self.portion.take().expect("portion present");
+        let mut portion = self.portion.take().expect("portion present");
         let owner = portion.owner;
         let dest = portion.next_parent.unwrap_or(portion.top);
 
@@ -563,8 +734,8 @@ impl FtNode {
         if let Some((hp, kids)) = &portion.helper {
             let is_subrt_root = hp.is_none();
             let hparent = hp.unwrap_or(portion.top);
-            let mut hchildren = Vec::new();
-            let mut pending = Vec::new();
+            let mut hchildren = InlineVec::new();
+            let mut pending = FixedVec::new();
             for k in kids {
                 match k {
                     PortionRef::Helper(s) => hchildren.push(VRef::helper(*s)),
@@ -597,17 +768,18 @@ impl FtNode {
             }
         }
 
-        let heir_mode = portion.heir_mode.clone();
         // 3. Heir duties (Algorithm 3.6's two modes).
-        if let Some(mode) = heir_mode {
+        if let Some(mode) = portion.heir_mode.take() {
             assert!(portion.is_heir, "heir mode on a non-heir portion");
             match mode {
                 HeirMode::Ready { subrt_root } => {
                     assert!(self.role.is_none(), "heir already busy");
                     self.role = Some(DRole {
                         hparent: portion.owner_parent,
-                        hchildren: vec![subrt_root.unwrap_or(my_slot_occupant)],
-                        pending_slots: Vec::new(),
+                        hchildren: [subrt_root.unwrap_or(my_slot_occupant)]
+                            .into_iter()
+                            .collect(),
+                        pending_slots: FixedVec::new(),
                         ready: true,
                     });
                     if let Some(op) = portion.owner_parent {
@@ -626,7 +798,7 @@ impl FtNode {
                     let mut new_role = role;
                     new_role.pending_slots.clear();
                     let ready = new_role.ready;
-                    for c in new_role.hchildren.clone() {
+                    for &c in new_role.hchildren.iter() {
                         if c.sim == self.id {
                             // the owner's helper parented my own position
                             self.pos_parent = Some(VRef::helper(self.id));
@@ -733,7 +905,7 @@ impl FtNode {
             return LostChild::Kept;
         }
         // redundant degree-2 helper: short-circuit myself
-        let (true, &[survivor]) = (role.pending_slots.is_empty(), role.hchildren.as_slice()) else {
+        let (true, &[survivor]) = (role.pending_slots.is_empty(), &role.hchildren[..]) else {
             assert!(ctx.faulty(), "short-circuit during instantiation");
             return LostChild::Kept;
         };
@@ -794,7 +966,7 @@ impl FtNode {
             return;
         }
         let ready = lw.ready;
-        for c in lw.hchildren.clone() {
+        for &c in lw.hchildren.iter() {
             if c.sim == self.id {
                 self.pos_parent = Some(VRef::helper(self.id));
             } else {
@@ -838,7 +1010,7 @@ impl Process for FtNode {
             self.execute_portion(ctx);
             return;
         }
-        let lw_entry = self.leaf_wills.remove(&dead);
+        let lw_entry = self.take_leaf_will(dead);
         // Relation: dead was one of my will representatives.
         if self.has_slot(dead) {
             match &lw_entry {
@@ -917,13 +1089,13 @@ impl Process for FtNode {
         if helper_child {
             if let Some(Some(r)) = &lw_entry {
                 if r.hparent == Some(VRef::helper(self.id)) {
-                    let survivors: Vec<VRef> = r
+                    let survivors: InlineVec<VRef, 2> = r
                         .hchildren
                         .iter()
                         .copied()
                         .filter(|c| c.sim != dead)
                         .collect();
-                    match survivors.as_slice() {
+                    match &survivors[..] {
                         [] => {
                             // dead's (ready) helper carried only dead itself
                             self.helper_lost_child(VRef::helper(dead), None, ctx);
@@ -957,17 +1129,21 @@ impl Process for FtNode {
         }
         // Remaining relations (dead simulated my parent vnode or a
         // (grand)child helper that survives): the orchestrators reach me
-        // within a round.
-        self.settle(ctx);
+        // within a round. Nothing settle reads has changed.
+        debug_assert!(self.is_settled(), "{:?}: unsettled after a notice", self.id);
     }
 
     fn on_message(&mut self, from: NodeId, msg: FtMsg, ctx: &mut Ctx<'_, FtMsg>) {
-        match msg {
+        // Whether the message may have changed a field `settle` reads. A
+        // received portion or LeafWill is read only when its sender dies.
+        let touched = match msg {
             FtMsg::Portion(p) => {
-                self.portion = Some(*p);
+                self.portion = Some(p);
+                false
             }
             FtMsg::LeafWill(lw) => {
-                self.leaf_wills.insert(from, lw);
+                self.file_leaf_will(from, lw);
+                false
             }
             FtMsg::OccupySlot {
                 slot,
@@ -977,11 +1153,12 @@ impl Process for FtNode {
             } => {
                 if your_end.helper {
                     self.apply_occupy(slot, child, replacing, ctx);
-                } else {
-                    // occupant of one of my will slots announcing itself: my
-                    // slots are tracked by representative already; nothing
-                    // structural to record (edge interest suffices).
                 }
+                // else: the occupant of one of my will slots announcing
+                // itself; my slots are tracked by representative already,
+                // so there is nothing structural to record (edge interest
+                // suffices).
+                your_end.helper
             }
             FtMsg::NewSim {
                 old,
@@ -1013,6 +1190,7 @@ impl Process for FtNode {
                         }
                     }
                 }
+                true
             }
             FtMsg::ReplaceRep {
                 dead,
@@ -1028,6 +1206,7 @@ impl Process for FtNode {
                 } else {
                     self.replace_slot_rep(dead, new_rep);
                 }
+                true
             }
             FtMsg::SpliceChild {
                 your_end,
@@ -1053,6 +1232,7 @@ impl Process for FtNode {
                         }
                     }
                 }
+                true
             }
             FtMsg::SpliceParent {
                 your_end,
@@ -1061,11 +1241,13 @@ impl Process for FtNode {
             } => {
                 let new_p = (new_parent != your_end).then_some(new_parent);
                 self.apply_splice_parent(your_end, gone, new_p);
+                true
             }
             FtMsg::SlotDissolved { rep } => {
                 if self.has_slot(rep) {
                     self.prune_slot(rep);
                 }
+                true
             }
             FtMsg::Reattach {
                 your_end,
@@ -1091,16 +1273,25 @@ impl Process for FtNode {
                         },
                     );
                 }
+                true
             }
             FtMsg::Release => {
                 // `desired` mirrors my fields after every callback
                 if self.desired.binary_search(&from).is_err() {
                     ctx.drop_edge(from);
                 }
-                return;
+                false
             }
+        };
+        if touched {
+            self.settle(ctx);
+        } else {
+            debug_assert!(
+                self.is_settled(),
+                "{:?}: unsettled after a message",
+                self.id
+            );
         }
-        self.settle(ctx);
     }
 }
 
@@ -1173,21 +1364,28 @@ impl DistributedForgivingTree {
             if children.is_empty() {
                 node.sent_leafwill = tree.parent(v).map(|p| (p, None));
             } else {
+                let will = SubRtShape::build(children);
                 node.owner = Some(Box::new(Owner {
-                    will: SubRtShape::build(children),
+                    anchors: (will.heir(), will.root_sim()),
+                    will,
                     sent_portions: Vec::new(),
-                    portions_from: Some((node.pos_parent, None)),
+                    stale: ShapeDelta::default(),
+                    portions_from: (node.pos_parent, None),
                 }));
-                for &c in children {
-                    if tree.is_leaf(c) {
-                        node.leaf_wills.insert(c, None);
-                    }
-                }
+                // children are ascending, so the filed wills are too
+                node.leaf_wills = children
+                    .iter()
+                    .filter(|&&c| tree.is_leaf(c))
+                    .map(|&c| (c, None))
+                    .collect();
             }
-            node.desired = node.desired_neighbors();
+            let extra = node.extra_neighbors();
+            let mut len = 0;
+            node.each_wanted(&extra, |_| len += 1);
+            node.desired = node.wanted(&extra, len);
             let portions = node.compute_portions();
             for (rep, p) in &portions {
-                net.process_mut(*rep).portion = Some(p.clone());
+                net.process_mut(*rep).portion = Some(Box::new(p.clone()));
             }
             if let Some(owner) = &mut net.process_mut(v).owner {
                 owner.sent_portions = portions;
@@ -1244,15 +1442,10 @@ impl DistributedForgivingTree {
     /// Panics if `v` is dead or the protocol fails to quiesce within the
     /// O(1) round budget.
     pub fn delete(&mut self, v: NodeId) -> HealReport {
-        let before_graph = self.net.graph().clone();
-        let notice = self.net.delete_node(v);
-        let ((rounds, merged), _) = self.net.run_until_quiet(12);
-        let mut edges_added = Vec::new();
-        for (a, b) in self.net.graph().edges() {
-            if !before_graph.has_edge(a, b) {
-                edges_added.push((a, b));
-            }
-        }
+        let ((notice, ((rounds, merged), _)), edges_added) = self.net.edges_gained_by(|net| {
+            let notice = net.delete_node(v);
+            (notice, net.run_until_quiet(12))
+        });
         HealReport {
             deleted: Some(v),
             rounds: rounds + 1,

@@ -26,7 +26,15 @@ fn differential_run(tree: &RootedTree, order: &[NodeId]) {
     assert_eq!(spec.graph(), dist.graph(), "initial graphs differ");
     for (step, &v) in order.iter().enumerate() {
         let sr = spec.delete(v);
+        let before = dist.graph().clone();
         let dr = dist.delete(v);
+        let gained: Vec<(NodeId, NodeId)> = dist
+            .graph()
+            .edges()
+            .into_iter()
+            .filter(|&(a, b)| !before.has_edge(a, b))
+            .collect();
+        assert_eq!(dr.edges_added, gained, "edges_added is the graph diff");
         spec.validate();
         assert_eq!(
             spec.graph(),
@@ -250,4 +258,57 @@ proptest! {
         order.shuffle(&mut rng);
         differential_run(&t, &order);
     }
+}
+
+/// A tree with one hub of `hub` children (the rest attached to random
+/// earlier nodes), as parent pairs rooted at 0.
+fn hub_tree(hub: usize, rest: usize, rng: &mut StdRng) -> RootedTree {
+    use rand::Rng;
+    let mut pairs: Vec<(NodeId, NodeId)> = (1..=hub as u32).map(|c| (n(c), n(0))).collect();
+    for c in hub + 1..=hub + rest {
+        pairs.push((n(c as u32), n(rng.gen_range(0..c as u32))));
+    }
+    RootedTree::from_parent_pairs(n(0), &pairs)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The delta-driven portion refresh against the full recompute. In
+    /// debug builds every refresh re-derives all portions and asserts the
+    /// delta sent exactly the changed ones; this drives it over hubs of up
+    /// to 64 children and whole deletion sequences, fault-free (checked
+    /// against the spec engine after every deletion) and under chaos.
+    #[test]
+    fn delta_refresh_matches_the_full_recompute(
+        hub in 2usize..=64,
+        rest in 0usize..40,
+        seed in 0u64..10_000,
+    ) {
+        use ft_sim::{Campaign, CampaignConfig, FaultConfig};
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let t = hub_tree(hub, rest, &mut rng);
+        let mut order: Vec<NodeId> = t.nodes().collect();
+        order.shuffle(&mut rng);
+        differential_run(&t, &order);
+
+        let mut dist = DistributedForgivingTree::new(&t);
+        let plan = FaultConfig::from_name("chaos").expect("known model").plan(seed);
+        dist.network_mut().set_fault_plan(Some(plan));
+        let mut campaign = Campaign::new(CampaignConfig::default());
+        for wave in order[..order.len() - 1].chunks(3) {
+            campaign.run_wave(dist.network_mut(), wave);
+        }
+        dist.network().check_accounting().expect("books balance");
+    }
+}
+
+/// Every heal callback touches its processor, so its size is cache lines
+/// per event: role lists and edge interests stay inline and the held
+/// portion stays boxed.
+#[test]
+fn processor_stays_within_its_layout_bound() {
+    let size = std::mem::size_of::<crate::distributed::FtNode>();
+    assert!(size <= 200, "FtNode is {size} bytes");
 }

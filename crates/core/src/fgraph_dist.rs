@@ -394,15 +394,10 @@ impl DistributedForgivingGraph {
     /// Panics if `v` is dead or the protocol fails to quiesce within the
     /// O(1) round budget.
     pub fn delete(&mut self, v: NodeId) -> HealReport {
-        let before_graph = self.net.graph().clone();
-        let notice = self.net.delete_node(v);
-        let ((rounds, merged), _) = self.net.run_until_quiet(8);
-        let mut edges_added = Vec::new();
-        for (a, b) in self.net.graph().edges() {
-            if !before_graph.has_edge(a, b) {
-                edges_added.push((a, b));
-            }
-        }
+        let ((notice, ((rounds, merged), _)), edges_added) = self.net.edges_gained_by(|net| {
+            let notice = net.delete_node(v);
+            (notice, net.run_until_quiet(8))
+        });
         HealReport {
             deleted: Some(v),
             rounds: rounds + 1,
@@ -573,7 +568,15 @@ mod tests {
             } else if d.len() > 2 {
                 let live: Vec<NodeId> = d.nodes().collect();
                 let v = live[rng.gen_range(0..live.len())];
-                d.delete(v);
+                let before = d.graph().clone();
+                let report = d.delete(v);
+                let gained: Vec<(NodeId, NodeId)> = d
+                    .graph()
+                    .edges()
+                    .into_iter()
+                    .filter(|&(a, b)| !before.has_edge(a, b))
+                    .collect();
+                assert_eq!(report.edges_added, gained, "edges_added is the graph diff");
                 s.delete(v);
             }
             assert_eq!(d.graph(), s.graph(), "graphs diverged at step {step}");

@@ -51,6 +51,7 @@
 pub mod distributed;
 pub mod fgraph;
 pub mod fgraph_dist;
+mod inline;
 mod invariants;
 pub mod report;
 pub mod shape;

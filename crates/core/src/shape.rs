@@ -19,13 +19,19 @@
 //!
 //! Both return the exact set of children whose will portions changed, which
 //! is how the O(1)-messages claim of Theorem 1.3 is validated: the returned
-//! sets have constant size regardless of the number of children.
+//! sets have constant size regardless of the number of children. The
+//! distributed engine recomputes only the portions such a set names.
+//!
+//! The shape's indexes (slot and helper position by child) are sorted `Vec`s,
+//! not ordered maps: a will has at most Δ entries, and a binary search over
+//! one contiguous block beats pointer-chasing a tree at that size. An edit
+//! shifts the tail of the block, a `memmove` of at most Δ entries.
 //!
 //! Shapes only ever shrink, so the initial depth bound `⌈log₂ d⌉ + 1` — the
 //! source of the `log Δ` factor in Theorem 1.2 — is preserved for free.
 
 use ft_graph::NodeId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Index of a node inside a [`SubRtShape`] arena.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -96,10 +102,53 @@ pub struct Portion {
 /// portions, and whether the heir changed.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShapeDelta {
-    /// Children whose portion content changed (they get one message each).
-    pub changed: BTreeSet<NodeId>,
+    /// Children whose portion content changed (they get one message each),
+    /// ascending and without duplicates.
+    pub changed: Vec<NodeId>,
     /// The new heir, if the update changed who the heir is.
     pub new_heir: Option<NodeId>,
+}
+
+impl ShapeDelta {
+    /// Adds `rep` to [`ShapeDelta::changed`], keeping it sorted.
+    pub(crate) fn insert(&mut self, rep: NodeId) {
+        if let Err(i) = self.changed.binary_search(&rep) {
+            self.changed.insert(i, rep);
+        }
+    }
+
+    /// Drops `rep` from [`ShapeDelta::changed`].
+    pub(crate) fn remove(&mut self, rep: NodeId) {
+        if let Ok(i) = self.changed.binary_search(&rep) {
+            self.changed.remove(i);
+        }
+    }
+
+    /// Forgets everything recorded, keeping the buffer.
+    pub(crate) fn clear(&mut self) {
+        self.changed.clear();
+        self.new_heir = None;
+    }
+}
+
+/// A sorted `(child, position)` index: slots or helper positions by child.
+type Index = Vec<(NodeId, SIdx)>;
+
+fn index_get(index: &Index, key: NodeId) -> Option<SIdx> {
+    let i = index.binary_search_by_key(&key, |e| e.0).ok()?;
+    Some(index[i].1)
+}
+
+fn index_take(index: &mut Index, key: NodeId) -> Option<SIdx> {
+    let i = index.binary_search_by_key(&key, |e| e.0).ok()?;
+    Some(index.remove(i).1)
+}
+
+fn index_put(index: &mut Index, key: NodeId, idx: SIdx) {
+    match index.binary_search_by_key(&key, |e| e.0) {
+        Ok(i) => index[i].1 = idx,
+        Err(i) => index.insert(i, (key, idx)),
+    }
 }
 
 /// Construction-time knobs for [`SubRtShape::build_with`] — the E10
@@ -133,8 +182,10 @@ pub struct SubRtShape {
     nodes: Vec<Option<ShapeNode>>,
     free: Vec<SIdx>,
     root: Option<SIdx>,
-    leaf_of: BTreeMap<NodeId, SIdx>,
-    helper_of: BTreeMap<NodeId, SIdx>,
+    /// Leaf slot of each representative, ascending by representative.
+    leaf_of: Index,
+    /// Helper position of each non-heir representative, ascending.
+    helper_of: Index,
     heir: Option<NodeId>,
 }
 
@@ -170,12 +221,15 @@ impl SubRtShape {
             nodes: Vec::with_capacity(2 * children.len()),
             free: Vec::new(),
             root: None,
-            leaf_of: BTreeMap::new(),
-            helper_of: BTreeMap::new(),
+            leaf_of: Vec::with_capacity(children.len()),
+            helper_of: Vec::with_capacity(children.len() - 1),
             heir: Some(heir),
         };
         let root = shape.build_range(children, 0, children.len(), config);
         shape.root = Some(root);
+        // leaves are built left to right, in ascending order; separators are
+        // built bottom-up and need one sort
+        shape.helper_of.sort_unstable();
         shape
     }
 
@@ -198,7 +252,7 @@ impl SubRtShape {
                 parent: None,
                 kind: ShapeKind::Leaf { rep },
             });
-            self.leaf_of.insert(rep, idx);
+            self.leaf_of.push((rep, idx));
             return idx;
         }
         let mid = if config.balanced {
@@ -225,7 +279,7 @@ impl SubRtShape {
         });
         self.node_mut(left).parent = Some(idx);
         self.node_mut(right).parent = Some(idx);
-        self.helper_of.insert(sep, idx);
+        self.helper_of.push((sep, idx));
         idx
     }
 
@@ -269,12 +323,18 @@ impl SubRtShape {
 
     /// Current slot representatives in ascending ID order.
     pub fn reps(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.leaf_of.keys().copied()
+        self.leaf_of.iter().map(|e| e.0)
     }
 
     /// Whether `rep` currently represents a slot.
     pub fn contains(&self, rep: NodeId) -> bool {
-        self.leaf_of.contains_key(&rep)
+        index_get(&self.leaf_of, rep).is_some()
+    }
+
+    /// The leaf slot of `rep`.
+    fn leaf(&self, rep: NodeId) -> SIdx {
+        index_get(&self.leaf_of, rep)
+            .unwrap_or_else(|| panic!("{rep:?} is not a slot of this shape"))
     }
 
     /// The simulator of the shape root, or `None` when the root is a leaf
@@ -314,12 +374,9 @@ impl SubRtShape {
     /// # Panics
     /// Panics if `rep` is not a slot representative.
     pub fn portion(&self, rep: NodeId) -> Portion {
-        let leaf = *self
-            .leaf_of
-            .get(&rep)
-            .unwrap_or_else(|| panic!("{rep:?} is not a slot of this shape"));
+        let leaf = self.leaf(rep);
         let is_heir = self.heir == Some(rep);
-        let helper = self.helper_of.get(&rep).copied();
+        let helper = index_get(&self.helper_of, rep);
         // nextparent: parent of the leaf — unless that parent is rep's own
         // helper, in which case skip one level up (the paper's "If hy is
         // ly's parent" rule: the edge would be a self-loop).
@@ -363,11 +420,7 @@ impl SubRtShape {
     /// # Panics
     /// Panics if `rep` is not a slot representative.
     pub fn leaf_parent_of(&self, rep: NodeId) -> Option<PortionRef> {
-        let leaf = *self
-            .leaf_of
-            .get(&rep)
-            .unwrap_or_else(|| panic!("{rep:?} is not a slot of this shape"));
-        self.parent_ref(leaf)
+        self.parent_ref(self.leaf(rep))
     }
 
     /// Removes the slot represented by `rep` (the child died as a tree
@@ -380,18 +433,24 @@ impl SubRtShape {
     /// # Panics
     /// Panics if `rep` is not a slot representative.
     pub fn remove_slot(&mut self, rep: NodeId) -> ShapeDelta {
-        let leaf = self
-            .leaf_of
-            .remove(&rep)
-            .unwrap_or_else(|| panic!("{rep:?} is not a slot of this shape"));
         let mut delta = ShapeDelta::default();
+        self.remove_slot_into(rep, &mut delta);
+        delta
+    }
+
+    /// [`SubRtShape::remove_slot`], adding its changes to `delta` (which may
+    /// already hold those of earlier updates).
+    pub(crate) fn remove_slot_into(&mut self, rep: NodeId, delta: &mut ShapeDelta) {
+        let leaf = index_take(&mut self.leaf_of, rep)
+            .unwrap_or_else(|| panic!("{rep:?} is not a slot of this shape"));
         let Some(spliced) = self.node(leaf).parent else {
             // single-slot shape: the shape empties out
             assert_eq!(self.heir, Some(rep), "single slot must be the heir");
             self.release(leaf);
             self.root = None;
             self.heir = None;
-            return delta;
+            delta.remove(rep);
+            return;
         };
         // `spliced` is the leaf's parent: an internal position that now has
         // a single child; splice it out of the shape.
@@ -415,18 +474,13 @@ impl SubRtShape {
                 }
                 // g's simulator's portion lists its children: one changed.
                 if let PortionRef::Helper(s) = self.ref_of(g) {
-                    delta.changed.insert(s);
+                    delta.insert(s);
                 }
             }
         }
         // the sibling subtree root's owner sees a new parent
         match self.ref_of(sibling) {
-            PortionRef::Slot(r) => {
-                delta.changed.insert(r);
-            }
-            PortionRef::Helper(s) => {
-                delta.changed.insert(s);
-            }
+            PortionRef::Slot(r) | PortionRef::Helper(r) => delta.insert(r),
         }
         self.release(leaf);
         self.release(spliced);
@@ -434,24 +488,22 @@ impl SubRtShape {
         if self.heir == Some(rep) {
             // The dead child was the heir: the survivor (whose helper just
             // vanished) becomes the new heir.
-            let removed = self.helper_of.remove(&survivor);
+            let removed = index_take(&mut self.helper_of, survivor);
             debug_assert_eq!(removed, Some(spliced));
             self.heir = Some(survivor);
             delta.new_heir = Some(survivor);
-            delta.changed.insert(survivor);
+            delta.insert(survivor);
         } else {
             // Relabel the dead child's helper position to the survivor.
-            let dead_helper = self
-                .helper_of
-                .remove(&rep)
-                .expect("non-heir slots have helper positions");
+            let dead_helper =
+                index_take(&mut self.helper_of, rep).expect("non-heir slots have helper positions");
             if dead_helper == spliced {
                 // the dead child's helper was its own leaf's parent: both are
                 // gone; the survivor is the dead child itself — nothing to
                 // relabel.
                 debug_assert_eq!(survivor, rep);
             } else {
-                let old = self.helper_of.remove(&survivor);
+                let old = index_take(&mut self.helper_of, survivor);
                 debug_assert_eq!(old, Some(spliced));
                 let ShapeKind::Internal { sim, left, right } = &mut self.node_mut(dead_helper).kind
                 else {
@@ -459,22 +511,20 @@ impl SubRtShape {
                 };
                 *sim = survivor;
                 let (l, r) = (*left, *right);
-                self.helper_of.insert(survivor, dead_helper);
-                delta.changed.insert(survivor);
+                index_put(&mut self.helper_of, survivor, dead_helper);
+                delta.insert(survivor);
                 // neighbors of the relabelled position reference its sim
                 for adj in [Some(l), Some(r), self.node(dead_helper).parent]
                     .into_iter()
                     .flatten()
                 {
                     match self.ref_of(adj) {
-                        PortionRef::Slot(r) => delta.changed.insert(r),
-                        PortionRef::Helper(s) => delta.changed.insert(s),
-                    };
+                        PortionRef::Slot(r) | PortionRef::Helper(r) => delta.insert(r),
+                    }
                 }
             }
         }
-        delta.changed.remove(&rep); // the dead child gets no message
-        delta
+        delta.remove(rep); // the dead child gets no message
     }
 
     /// Replaces representative `old` by `new` in place (heir promotion after
@@ -485,50 +535,50 @@ impl SubRtShape {
     /// # Panics
     /// Panics if `old` is not a representative or `new` already is one.
     pub fn replace_rep(&mut self, old: NodeId, new: NodeId) -> ShapeDelta {
-        let leaf = self
-            .leaf_of
-            .remove(&old)
-            .unwrap_or_else(|| panic!("{old:?} is not a slot of this shape"));
-        assert!(
-            !self.leaf_of.contains_key(&new),
-            "{new:?} already represents a slot"
-        );
         let mut delta = ShapeDelta::default();
+        self.replace_rep_into(old, new, &mut delta);
+        delta
+    }
+
+    /// [`SubRtShape::replace_rep`], adding its changes to `delta` (which may
+    /// already hold those of earlier updates).
+    pub(crate) fn replace_rep_into(&mut self, old: NodeId, new: NodeId, delta: &mut ShapeDelta) {
+        let leaf = index_take(&mut self.leaf_of, old)
+            .unwrap_or_else(|| panic!("{old:?} is not a slot of this shape"));
+        assert!(!self.contains(new), "{new:?} already represents a slot");
         let ShapeKind::Leaf { rep } = &mut self.node_mut(leaf).kind else {
             unreachable!()
         };
         *rep = new;
-        self.leaf_of.insert(new, leaf);
-        delta.changed.insert(new);
+        index_put(&mut self.leaf_of, new, leaf);
+        delta.insert(new);
         // the leaf's parent's simulator lists the slot by representative
         if let Some(p) = self.node(leaf).parent {
             if let PortionRef::Helper(s) = self.ref_of(p) {
-                delta.changed.insert(s);
+                delta.insert(s);
             }
         }
         if self.heir == Some(old) {
             self.heir = Some(new);
             delta.new_heir = Some(new);
         }
-        if let Some(h) = self.helper_of.remove(&old) {
+        if let Some(h) = index_take(&mut self.helper_of, old) {
             let ShapeKind::Internal { sim, left, right } = &mut self.node_mut(h).kind else {
                 unreachable!()
             };
             *sim = new;
             let (l, r) = (*left, *right);
-            self.helper_of.insert(new, h);
+            index_put(&mut self.helper_of, new, h);
             for adj in [Some(l), Some(r), self.node(h).parent]
                 .into_iter()
                 .flatten()
             {
                 match self.ref_of(adj) {
-                    PortionRef::Slot(r) => delta.changed.insert(r),
-                    PortionRef::Helper(s) => delta.changed.insert(s),
-                };
+                    PortionRef::Slot(r) | PortionRef::Helper(r) => delta.insert(r),
+                }
             }
         }
-        delta.changed.remove(&old);
-        delta
+        delta.remove(old);
     }
 
     /// Walks the shape bottom-up: calls `on_internal(sim, left_ref,
@@ -574,21 +624,30 @@ impl SubRtShape {
             }
         }
         let heir = self.heir.expect("nonempty shape has an heir");
-        assert!(self.leaf_of.contains_key(&heir), "heir is not a slot");
-        assert!(!self.helper_of.contains_key(&heir), "heir has a helper");
+        assert!(self.contains(heir), "heir is not a slot");
+        assert!(
+            index_get(&self.helper_of, heir).is_none(),
+            "heir has a helper"
+        );
+        for index in [&self.leaf_of, &self.helper_of] {
+            assert!(
+                index.windows(2).all(|w| w[0].0 < w[1].0),
+                "index not strictly ascending"
+            );
+        }
         assert_eq!(
             self.helper_of.len() + 1,
             self.leaf_of.len(),
             "one helper per non-heir slot"
         );
-        for (rep, &leaf) in &self.leaf_of {
-            match &self.node(leaf).kind {
+        for (rep, leaf) in &self.leaf_of {
+            match &self.node(*leaf).kind {
                 ShapeKind::Leaf { rep: r } => assert_eq!(r, rep),
                 _ => panic!("leaf_of points at internal node"),
             }
         }
-        for (sim, &h) in &self.helper_of {
-            match &self.node(h).kind {
+        for (sim, h) in &self.helper_of {
+            match &self.node(*h).kind {
                 ShapeKind::Internal { sim: s, .. } => assert_eq!(s, sim),
                 _ => panic!("helper_of points at leaf"),
             }
@@ -719,14 +778,19 @@ mod tests {
     fn check_delta(before: &BTreeMap<NodeId, Portion>, after: &SubRtShape, delta: &ShapeDelta) {
         after.validate();
         let now = after.all_portions();
-        let mut expect = BTreeSet::new();
+        let mut expect = Vec::new();
         for (rep, portion) in &now {
             if before.get(rep) != Some(portion) {
-                expect.insert(*rep);
+                expect.push(*rep);
             }
         }
         assert!(
-            delta.changed.is_superset(&expect),
+            delta.changed.windows(2).all(|w| w[0] < w[1]),
+            "changed set not sorted: {:?}",
+            delta.changed
+        );
+        assert!(
+            expect.iter().all(|r| delta.changed.contains(r)),
             "unsound delta: changed portions not re-sent: {:?} vs {:?}",
             delta.changed,
             expect

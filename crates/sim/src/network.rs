@@ -596,6 +596,53 @@ impl<P: Process> Network<P> {
         std::mem::take(&mut self.journal)
     }
 
+    /// Runs `f` and returns, beside its result, the edges `f` added that
+    /// are still present afterwards, as ascending `(low, high)` pairs: an
+    /// edge added and dropped again within `f` cancels out, and so does one
+    /// dropped and added back. The set equals the diff of the graph's edges
+    /// before and after `f`, at the cost of the churn `f` made, not of the
+    /// graph. It is read off the churn journal's tail; a journal the caller
+    /// switched on keeps every entry, and one that was off stays off.
+    pub fn edges_gained_by<R>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> R,
+    ) -> (R, Vec<(NodeId, NodeId)>) {
+        let was_on = self.journal_on;
+        self.journal_on = true;
+        let (added, removed) = (
+            self.journal.edges_added.len(),
+            self.journal.edges_removed.len(),
+        );
+        let out = f(self);
+        let ordered = |&(a, b): &(NodeId, NodeId)| (a.min(b), a.max(b));
+        let mut tally: Vec<((NodeId, NodeId), i32)> = self
+            .journal
+            .edges_added
+            .iter()
+            .skip(added)
+            .map(|e| (ordered(e), 1))
+            .chain(
+                self.journal
+                    .edges_removed
+                    .iter()
+                    .skip(removed)
+                    .map(|e| (ordered(e), -1)),
+            )
+            .collect();
+        tally.sort_unstable();
+        // applied adds and drops of one edge alternate, so a net +1 means
+        // absent before `f` and present after it
+        let gained = tally
+            .chunk_by(|x, y| x.0 == y.0)
+            .filter(|run| run.iter().map(|e| e.1).sum::<i32>() == 1)
+            .map(|run| run[0].0)
+            .collect();
+        if !was_on {
+            self.set_churn_journal(false);
+        }
+        (out, gained)
+    }
+
     /// Total messages delivered since construction (notices included).
     pub fn total_messages(&self) -> usize {
         self.ledger.total_messages() as usize
@@ -1819,5 +1866,82 @@ mod tests {
             "the reconciliation identity"
         );
         net.check_accounting().expect("books balance");
+    }
+
+    /// A scripted heal. When 0 dies, 1 adds {1,2} and {1,3} and drops the
+    /// pre-existing {1,4}; 5 adds {3,5}. A round later 2 drops {1,2} again
+    /// and 4 restores {1,4}.
+    #[derive(Debug)]
+    struct Scripted(NodeId);
+
+    impl Process for Scripted {
+        type Msg = ();
+
+        fn on_neighbor_deleted(&mut self, _dead: NodeId, ctx: &mut Ctx<'_, ()>) {
+            match self.0 .0 {
+                1 => {
+                    ctx.add_edge(NodeId(2));
+                    ctx.add_edge(NodeId(3));
+                    ctx.drop_edge(NodeId(4));
+                    ctx.send(NodeId(2), ());
+                    ctx.send(NodeId(4), ());
+                }
+                5 => ctx.add_edge(NodeId(3)),
+                _ => {}
+            }
+        }
+
+        fn on_message(&mut self, from: NodeId, _msg: (), ctx: &mut Ctx<'_, ()>) {
+            match self.0 .0 {
+                2 => ctx.drop_edge(from),
+                4 => ctx.add_edge(from),
+                _ => {}
+            }
+        }
+    }
+
+    fn scripted_net() -> Network<Scripted> {
+        let mut g = ft_graph::Graph::new(6);
+        for (a, b) in [(0, 1), (0, 5), (1, 4)] {
+            g.add_edge(NodeId(a), NodeId(b));
+        }
+        Network::new(g, Scripted)
+    }
+
+    #[test]
+    fn edges_gained_cancel_an_edge_added_and_dropped_within_the_heal() {
+        let mut net = scripted_net();
+        let before = net.graph().clone();
+        let (_, gained) = net.edges_gained_by(|net| {
+            net.delete_node(NodeId(0));
+            net.run_until_quiet(8)
+        });
+        let diff: Vec<(NodeId, NodeId)> = net
+            .graph()
+            .edges()
+            .into_iter()
+            .filter(|&(a, b)| !before.has_edge(a, b))
+            .collect();
+        assert_eq!(gained, diff, "the journal tail and the graph diff agree");
+        assert_eq!(gained, [(NodeId(1), NodeId(3)), (NodeId(3), NodeId(5))]);
+        assert!(
+            net.drain_churn_journal().is_empty(),
+            "a journal that was off stays off"
+        );
+    }
+
+    #[test]
+    fn edges_gained_leave_a_caller_enabled_journal_intact() {
+        let mut net = scripted_net();
+        net.set_churn_journal(true);
+        let (_, gained) = net.edges_gained_by(|net| {
+            net.delete_node(NodeId(0));
+            net.run_until_quiet(8)
+        });
+        assert_eq!(gained, [(NodeId(1), NodeId(3)), (NodeId(3), NodeId(5))]);
+        let journal = net.drain_churn_journal();
+        assert_eq!(journal.deleted.len(), 1);
+        assert_eq!(journal.edges_added.len(), 4, "{journal:?}");
+        assert_eq!(journal.edges_removed.len(), 2, "{journal:?}");
     }
 }
