@@ -89,16 +89,6 @@ impl<T: Copy + Default, const N: usize> DerefMut for FixedVec<T, N> {
     }
 }
 
-impl<T: Copy + Default, const N: usize> FromIterator<T> for FixedVec<T, N> {
-    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        let mut out = Self::new();
-        for x in iter {
-            out.push(x);
-        }
-        out
-    }
-}
-
 impl<T: Copy + Default + PartialEq, const N: usize> PartialEq for FixedVec<T, N> {
     fn eq(&self, other: &Self) -> bool {
         **self == **other
@@ -287,7 +277,10 @@ mod tests {
 
     #[test]
     fn fixed_vec_edits_like_a_vec() {
-        let mut list: FixedVec<u32, 3> = [4, 5, 6].into_iter().collect();
+        let mut list: FixedVec<u32, 3> = FixedVec::new();
+        for x in [4, 5, 6] {
+            list.push(x);
+        }
         assert_eq!(list.remove(0), 4);
         list.push(7);
         list.retain(|&x| x != 6);
