@@ -20,6 +20,8 @@
 //! experiment harness can sweep them uniformly. Experiment E5 regenerates
 //! the quoted blow-ups.
 
+#![forbid(unsafe_code)]
+
 use ft_core::{ForgivingGraph, ForgivingTree, HealReport};
 use ft_graph::tree::RootedTree;
 use ft_graph::{Graph, NodeId};

@@ -6,6 +6,8 @@
 //! 3. incremental will maintenance (the deferred "full version" algorithm)
 //!    vs naive full re-distribution — portion messages per heal.
 
+#![forbid(unsafe_code)]
+
 use ft_core::shape::ShapeConfig;
 use ft_core::ForgivingTree;
 use ft_graph::bfs::diameter_exact;

@@ -3,6 +3,8 @@
 //! while the Forgiving Tree bounds both (degree +3, diameter O(D log Δ)).
 //! Each baseline faces its killer adversary *and* the common ones.
 
+#![forbid(unsafe_code)]
+
 use ft_adversary::{Adversary, DiameterGreedy, HighestDegreeAdversary, HubSiphon, RandomAdversary};
 use ft_baselines::{BinaryTreeHealer, ForgivingHealer, LineHealer, SelfHealer, SurrogateHealer};
 use ft_bench::healer_trial;

@@ -2,6 +2,8 @@
 //! by more than 3, under every workload × adversary, for full deletion
 //! sequences.
 
+#![forbid(unsafe_code)]
+
 use ft_adversary::standard_suite;
 use ft_bench::ft_trial;
 use ft_metrics::{Table, Workload};

@@ -1,6 +1,8 @@
 //! E2 — Theorem 1.2: the healed diameter never exceeds `O(D·log Δ)`;
 //! measured against the explicit budget `2·h₀·(⌈log₂ Δ⌉+2)+2`.
 
+#![forbid(unsafe_code)]
+
 use ft_adversary::standard_suite;
 use ft_bench::{diameter_budget, ft_trial};
 use ft_metrics::{Table, Workload};

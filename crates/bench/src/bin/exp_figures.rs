@@ -6,6 +6,8 @@
 //! - Figure 5: the 4-turn deletion/healing sequence (v, p, d, h), checked
 //!   turn by turn on both engines and emitted as DOT.
 
+#![forbid(unsafe_code)]
+
 use ft_core::distributed::DistributedForgivingTree;
 use ft_core::shape::SubRtShape;
 use ft_core::{ForgivingTree, RoleKind};

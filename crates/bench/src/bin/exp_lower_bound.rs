@@ -4,6 +4,8 @@
 //! against the bound, plus the Forgiving Tree's constructive near-tightness
 //! `β ≤ 2·log_α Δ + 2` (§4.2).
 
+#![forbid(unsafe_code)]
+
 use ft_adversary::HighestDegreeAdversary;
 use ft_baselines::{BinaryTreeHealer, ForgivingHealer, LineHealer, SelfHealer, SurrogateHealer};
 use ft_bench::healer_trial;

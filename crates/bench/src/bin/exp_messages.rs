@@ -2,6 +2,8 @@
 //! messages per node, independent of n and Δ. Runs both the analytic spec
 //! accounting and the real distributed protocol and reports worst cases.
 
+#![forbid(unsafe_code)]
+
 use ft_core::distributed::DistributedForgivingTree;
 use ft_core::ForgivingTree;
 use ft_graph::NodeId;

@@ -4,6 +4,8 @@
 //! latency and O(log n) messages per edge (Cohen \[4\]); our designated-root
 //! protocol achieves O(1) per edge.
 
+#![forbid(unsafe_code)]
+
 use ft_graph::bfs::eccentricity;
 use ft_graph::{gen, NodeId};
 use ft_metrics::Table;

@@ -4,6 +4,8 @@
 //! distribution (FT only bounds the *diameter*; this measures what pairwise
 //! stretch one gets in practice).
 
+#![forbid(unsafe_code)]
+
 use ft_core::ForgivingTree;
 use ft_graph::bfs::all_pairs_distances;
 use ft_graph::NodeId;

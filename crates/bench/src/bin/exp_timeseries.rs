@@ -2,6 +2,8 @@
 //! accumulate (the "figure" form of Theorems 1.1/1.2). Emits CSV so the
 //! series can be plotted.
 
+#![forbid(unsafe_code)]
+
 use ft_adversary::{HeirHunter, RandomAdversary};
 use ft_bench::ft_trial;
 use ft_metrics::{Table, Workload};

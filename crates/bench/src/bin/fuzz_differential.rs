@@ -7,6 +7,8 @@
 //! cargo run -p ft-bench --release --bin fuzz_differential -- 1000
 //! ```
 
+#![forbid(unsafe_code)]
+
 use ft_core::distributed::DistributedForgivingTree;
 use ft_core::ForgivingTree;
 use ft_graph::bfs::diameter_exact;

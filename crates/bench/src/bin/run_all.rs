@@ -1,7 +1,8 @@
 //! Runs every experiment binary's logic in sequence — the one-shot
-//! regeneration of EXPERIMENTS.md — followed by the `stress` scale
-//! campaign (which leaves `BENCH_sim.json` behind). Each binary can also
-//! be run individually for faster iteration.
+//! regeneration of EXPERIMENTS.md. Each binary can also be run
+//! individually for faster iteration.
+
+#![forbid(unsafe_code)]
 
 use std::process::Command;
 
@@ -17,7 +18,6 @@ fn main() {
         "exp_ablation",
         "exp_timeseries",
         "exp_stretch",
-        "stress",
     ];
     let me = std::env::current_exe().expect("own path");
     let dir = me.parent().expect("bin dir").to_path_buf();

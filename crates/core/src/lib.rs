@@ -48,6 +48,8 @@
 //! spec engine and the [`Haft`] reconstruction shape) and [`fgraph_dist`]
 //! (the message-level [`DistributedForgivingGraph`]).
 
+#![forbid(unsafe_code)]
+
 pub mod distributed;
 pub mod fgraph;
 pub mod fgraph_dist;

@@ -2,8 +2,7 @@
 //!
 //! Wall-clock timing is the weakest regression signal this repository has:
 //! it is noisy on shared runners and useless on the single-core CI box. The
-//! engine's *operation counts*, by contrast, are exact, reproducible, and —
-//! because the sharded round engine is byte-identical to the sequential one —
+//! engine's *operation counts*, by contrast, are exact, reproducible, and
 //! independent of thread count. This crate provides the [`OperationCost`]
 //! vector those counts accumulate into, in the style of grovedb's
 //! `OperationCost`/`CostContext` discipline: every engine operation returns

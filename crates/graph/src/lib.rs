@@ -19,6 +19,8 @@
 //! assert_eq!(ft_graph::bfs::diameter_exact(&g), Some(3));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bfs;
 pub mod gen;
 pub mod tree;

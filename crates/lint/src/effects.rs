@@ -12,7 +12,7 @@
 //! Resolution inherits the call graph's conservatism — a call edge to
 //! every same-name definition means a transitive write set
 //! over-approximates, never under-approximates (the right polarity for
-//! the race and drift rules built on top) — with one precision cut:
+//! the drift rule built on top) — with one precision cut:
 //! propagation runs over
 //! [`analysis_edges`](CallGraph::analysis_edges), which drops dotted
 //! std-container calls so `seen.insert(v)` does not alias every workspace
@@ -21,8 +21,7 @@
 //! engine-state field names distinct, and the baseline diff catches any
 //! collision that slips in.
 //!
-//! Two rules live here (the third, shard isolation, is in
-//! [`parallel`](crate::parallel)):
+//! Two rules live here:
 //!
 //! - **ledger-book-coupling** — every mutation site of a `MsgLedger` book
 //!   must lie in a function whose *direct* book-write set is balanced

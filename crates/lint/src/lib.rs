@@ -1,19 +1,17 @@
 //! `ft-lint` — the workspace's determinism & accounting static-analysis
 //! pass.
 //!
-//! PR 4 made threaded heals byte-identical to sequential runs; checkpoint/
-//! time-travel, the seeded fault-model axis, and the 10⁷-node incremental
-//! stretch work all *build on* that determinism contract. `ft-lint` turns
-//! the contract into CI-red rules over the source itself — an offline,
-//! dependency-free pass built from a small hand-rolled lexer ([`lexer`]),
-//! a shape-only recursive-descent parser ([`parser`]), a deterministic
-//! workspace call graph ([`callgraph`]), and a fourteen-rule engine
-//! ([`rules`]): seven per-token pattern rules plus seven cross-function
-//! semantic rules (determinism taint propagation ([`taint`]), cost-charge
-//! coverage, dropped-`CostResult` discipline, panic reachability from
-//! the round-engine roots, shard-isolation race detection for worker
-//! closures ([`parallel`]), ledger book-coupling, and hot-path
-//! effect-baseline drift ([`effects`])).
+//! Seeded runs replay byte-identically; the fault-model axis and the
+//! incremental stretch work *build on* that determinism contract.
+//! `ft-lint` turns the contract into CI-red rules over the source itself —
+//! an offline, dependency-free pass built from a small hand-rolled lexer
+//! ([`lexer`]), a shape-only recursive-descent parser ([`parser`]), a
+//! deterministic workspace call graph ([`callgraph`]), and a thirteen-rule
+//! engine ([`rules`]): seven per-token pattern rules plus six
+//! cross-function semantic rules (determinism taint propagation
+//! ([`taint`]), cost-charge coverage, dropped-`CostResult` discipline,
+//! panic reachability from the round-engine roots, ledger book-coupling,
+//! and hot-path effect-baseline drift ([`effects`])).
 //!
 //! The rule catalog lives in [`RULES`]; the paths each rule binds are in
 //! [`rules::rule_applies`]; the suppression grammar is
@@ -36,10 +34,11 @@
 //! assert_eq!(report.violations[0].rule, "nondeterministic-iteration");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod callgraph;
 pub mod effects;
 pub mod lexer;
-pub mod parallel;
 pub mod parser;
 pub mod rules;
 pub mod sarif;

@@ -51,9 +51,8 @@ pub struct CallSite {
     pub recv: Option<String>,
     /// 1-based line of the call.
     pub line: u32,
-    /// Index of the call-name token in the file's token stream (the
-    /// parallel-region analysis tests whether it falls inside a worker
-    /// closure's token range).
+    /// Index of the call-name token in the file's token stream (lets a
+    /// pass re-examine the tokens around the call).
     pub tok: usize,
     /// Statement context (see [`Discard`]).
     pub discard: Discard,
@@ -64,7 +63,7 @@ pub struct CallSite {
 /// marks the field written when the method is here or ends in `_mut`;
 /// anything else reads. Errs toward *write* for the std mutators the
 /// workspace actually uses: a spurious write costs a written-reason
-/// suppression, a missed one is a missed race.
+/// suppression, a missed one is a missed mutation.
 pub const MUTATING_METHODS: [&str; 30] = [
     "push",
     "push_back",
@@ -730,21 +729,20 @@ mod tests {
 
     #[test]
     fn trait_impls_take_the_for_type() {
-        let p =
-            parse_src("impl Drop for WorkerPool {\n    fn drop(&mut self) { self.halt(); }\n}\n");
-        assert_eq!(p.defs[0].qname, "WorkerPool::drop");
+        let p = parse_src("impl Drop for Journal {\n    fn drop(&mut self) { self.halt(); }\n}\n");
+        assert_eq!(p.defs[0].qname, "Journal::drop");
     }
 
     #[test]
     fn calls_carry_qualifier_receiver_and_context() {
         let p = parse_src(
-            "fn f() {\n    let _ = probe();\n    net.step();\n    let x = WorkerPool::new(2);\n    take(inner());\n    self.outbox.push(1);\n}\n",
+            "fn f() {\n    let _ = probe();\n    net.step();\n    let x = Journal::new(2);\n    take(inner());\n    self.outbox.push(1);\n}\n",
         );
         let calls = &p.defs[0].calls;
         let get = |name: &str| calls.iter().find(|c| c.name == name).expect("call present");
         assert_eq!(get("probe").discard, Discard::LetUnderscore);
         assert_eq!(get("step").discard, Discard::Statement);
-        assert_eq!(get("new").qual.as_deref(), Some("WorkerPool"));
+        assert_eq!(get("new").qual.as_deref(), Some("Journal"));
         assert_eq!(get("new").discard, Discard::No);
         assert_eq!(get("inner").discard, Discard::No, "argument position");
         assert_eq!(get("take").discard, Discard::Statement);
@@ -832,13 +830,13 @@ mod tests {
     #[test]
     fn closure_bodies_attribute_to_the_enclosing_fn() {
         // regression: calls AND field accesses inside a closure passed as an
-        // argument (`pool.run(|shard| { … })`) must land on the enclosing fn
+        // argument (`scope.run(|part| { … })`) must land on the enclosing fn
         let p = parse_src(
-            "impl E {\n    fn drive(&mut self, pool: &WorkerPool) {\n        pool.run(|shard| {\n            shard.outbox.clear();\n            deliver_chunk(shard);\n            self.total += 1;\n        });\n    }\n}\n",
+            "impl E {\n    fn drive(&mut self, scope: &Scope) {\n        scope.run(|part| {\n            part.outbox.clear();\n            drain_part(part);\n            self.total += 1;\n        });\n    }\n}\n",
         );
         assert_eq!(p.defs.len(), 1, "closures are not defs");
         let d = &p.defs[0];
-        assert!(d.calls.iter().any(|c| c.name == "deliver_chunk"));
+        assert!(d.calls.iter().any(|c| c.name == "drain_part"));
         assert!(d.calls.iter().any(|c| c.name == "run"));
         let acc = accesses(d);
         assert!(acc.contains(&("outbox", true)), "{acc:?}");

@@ -50,8 +50,8 @@ pub struct FaultMatrixConfig {
     pub wave_size: usize,
     /// Seed shared by workload, planners, and fault plans.
     pub seed: u64,
-    /// Worker threads for the round engine (cells are byte-identical for
-    /// any value).
+    /// Worker threads for the graph cells' stretch pass; the tree cells
+    /// ignore it (cells are byte-identical for any value).
     pub threads: usize,
 }
 

@@ -52,10 +52,10 @@ pub struct GraphStressConfig {
     pub seed: u64,
     /// BFS sources sampled by the stretch pass.
     pub stretch_sources: usize,
-    /// Worker threads: shards the round engine's heavy rounds, the full
-    /// stretch pass's BFS sources, *and* the incremental tracker's source
-    /// builds and per-wave repairs (1 = sequential; results are
-    /// byte-identical for any value).
+    /// Worker threads for the stretch layer: the full pass's BFS sources
+    /// and the incremental tracker's source builds and per-wave repairs
+    /// (1 = sequential; results are byte-identical for any value). The
+    /// round engine itself is sequential.
     pub threads: usize,
     /// Stretch engine: `incremental` (default — per-source distance fields
     /// repaired from the churn journal), `full` (from-scratch re-sweep), or
@@ -104,7 +104,7 @@ pub struct GraphStressRecord {
     pub rounds: u64,
     /// Live nodes remaining.
     pub live_remaining: usize,
-    /// Worker threads the campaign (and stretch pass) ran with.
+    /// Worker threads the stretch pass ran with.
     pub threads: usize,
     /// Wall-clock seconds for the campaign (setup and stretch pass
     /// excluded): planning, healing and journal drains.
@@ -112,7 +112,7 @@ pub struct GraphStressRecord {
     /// The same wall time in milliseconds (the perf-trajectory datapoint).
     pub wall_ms: f64,
     /// Wall-clock milliseconds of the sampled stretch measurement (the
-    /// other sharded hot path): the full pass, or the incremental
+    /// sharded hot path): the full pass, or the incremental
     /// tracker's build + per-wave repairs + final report.
     pub stretch_wall_ms: f64,
     /// Wall-clock seconds the churn planner took (not in the JSON record).

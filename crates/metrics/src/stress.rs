@@ -45,12 +45,13 @@ pub struct StressConfig {
     pub planner: String,
     /// RNG seed for the planner.
     pub seed: u64,
-    /// Worker threads the round engine shards heavy rounds across
-    /// (1 = sequential; results are byte-identical for any value).
+    /// Thread count echoed into the record. The tree model has no threaded
+    /// pass: the round engine is sequential, so every figure is the same
+    /// for any value.
     pub threads: usize,
     /// Heal cadence: `per-deletion` (Model 2.1, the default) or `per-wave`
     /// (the whole wave strikes before recovery runs — heavier recovery
-    /// rounds, the regime where sharding has real per-round work).
+    /// rounds, many deletions healed in one go).
     /// **Caveat**: the Forgiving Tree protocol is specified for one
     /// deletion per time step; under `per-wave` a victim's will-holders
     /// can die with it and the heal may lose connectivity, which the
@@ -95,7 +96,7 @@ pub struct StressRecord {
     pub rounds: u64,
     /// Live nodes remaining.
     pub live_remaining: usize,
-    /// Worker threads the campaign ran with.
+    /// The `--threads` value the run was given.
     pub threads: usize,
     /// Wall-clock seconds for the campaign (setup excluded): planning plus
     /// healing.

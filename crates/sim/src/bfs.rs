@@ -35,14 +35,12 @@ pub struct BfsNode {
     id: NodeId,
     is_root: bool,
     neighbors: Vec<NodeId>,
-    // Per-node protocol state: a process belongs to exactly one shard's
-    // contiguous `procs` slice, so its callbacks run on a single worker.
     /// Adopted depth, once reached by the wave.
-    pub depth: Option<u32>, // ft-lint: shard-local
+    pub depth: Option<u32>,
     /// Parent in the BFS tree (root: none).
-    pub parent: Option<NodeId>, // ft-lint: shard-local
+    pub parent: Option<NodeId>,
     /// Confirmed children.
-    pub children: Vec<NodeId>, // ft-lint: shard-local
+    pub children: Vec<NodeId>,
 }
 
 impl Process for BfsNode {

@@ -44,9 +44,9 @@ pub struct CampaignConfig {
     /// and recorded as non-converged ([`WaveStats::converged`]) rather
     /// than panicking — callers that need quiescence check the flag.
     pub max_rounds_per_heal: u32,
-    /// Worker threads the round engine shards heavy rounds across
-    /// (applied to the network via [`Network::set_threads`]; 1 = fully
-    /// sequential). Results are byte-identical for any thread count.
+    /// Unused: the round engine is sequential. The benchmark's traced
+    /// replay (`perfbench/trace`) still sets it in struct literals, so the
+    /// field goes when those do.
     pub threads: usize,
 }
 
@@ -89,7 +89,7 @@ pub struct WaveStats {
     pub converged: bool,
     /// Exact [`OperationCost`] of the wave: every churn event and every
     /// recovery round, measured as a snapshot delta of the network's
-    /// cumulative counter. Byte-identical across thread counts.
+    /// cumulative counter.
     pub cost: OperationCost,
 }
 
@@ -204,15 +204,11 @@ impl Campaign {
         &self.cfg
     }
 
-    /// Heals to quiescence (or the round budget) with the sharded engine,
-    /// folding rounds and the convergence verdict into the wave.
-    fn heal<P>(&self, net: &mut Network<P>, ws: &mut WaveStats)
-    where
-        P: Process + Send,
-        P::Msg: Send,
-    {
+    /// Heals to quiescence (or the round budget), folding rounds and the
+    /// convergence verdict into the wave.
+    fn heal<P: Process>(&self, net: &mut Network<P>, ws: &mut WaveStats) {
         let ((rounds, merged, converged), _) =
-            net.run_until_quiet_capped_mt(self.cfg.max_rounds_per_heal);
+            net.run_until_quiet_capped(self.cfg.max_rounds_per_heal);
         ws.absorb(&merged, rounds);
         ws.converged &= converged;
     }
@@ -225,12 +221,7 @@ impl Campaign {
     ///
     /// # Panics
     /// Panics if a victim is dead.
-    pub fn run_wave<P>(&mut self, net: &mut Network<P>, victims: &[NodeId]) -> WaveStats
-    where
-        P: Process + Send,
-        P::Msg: Send,
-    {
-        net.set_threads(self.cfg.threads);
+    pub fn run_wave<P: Process>(&mut self, net: &mut Network<P>, victims: &[NodeId]) -> WaveStats {
         let cost0 = net.costs();
         let silenced0 = net.crash_silenced();
         let mut ws = WaveStats {
@@ -282,17 +273,12 @@ impl Campaign {
     ///
     /// # Panics
     /// Panics if a delete victim is dead.
-    pub fn run_churn_wave<P>(
+    pub fn run_churn_wave<P: Process>(
         &mut self,
         net: &mut Network<P>,
         events: &[ChurnEvent],
         mut make: impl FnMut(NodeId, &[NodeId]) -> P,
-    ) -> WaveStats
-    where
-        P: Process + Send,
-        P::Msg: Send,
-    {
-        net.set_threads(self.cfg.threads);
+    ) -> WaveStats {
         let cost0 = net.costs();
         let silenced0 = net.crash_silenced();
         let mut ws = WaveStats {
@@ -423,7 +409,7 @@ mod tests {
         let mut campaign = Campaign::new(CampaignConfig {
             cadence: HealCadence::PerWave,
             max_rounds_per_heal: 16,
-            threads: 1,
+            ..CampaignConfig::default()
         });
         let ws = campaign.run_wave(&mut net, &[NodeId(0), NodeId(15)]);
         assert_eq!(ws.deletions, 2);

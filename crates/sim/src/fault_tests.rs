@@ -1,14 +1,18 @@
-//! Property and locking tests for the fault-injection layer.
+//! Property and locking tests for the fault-injection layer, the
+//! per-incarnation ledger books and heal truncation.
 //!
 //! The headline invariants: (1) under *any* fault plan — loss, duplication,
-//! delay, crash-stop, partitions — a campaign at `threads = 4` is
-//! byte-identical to `threads = 1` (reports, ledger books, fault
-//! fingerprint, final graph); (2) the extended conservation identity
+//! delay, crash-stop, partitions — a seeded campaign replays byte for byte
+//! (reports, ledger books, fault fingerprint, final graph); (2) the
+//! extended conservation identity
 //! `sent + duplicated = delivered + dropped + lost + in-flight` and the
 //! cost/ledger reconciliation hold throughout; (3) a plan with all rates
 //! zero is indistinguishable from no plan at all; (4) a crash-stop that
 //! cuts a heal mid-sentence is reported as `converged: false`, never as a
-//! silent quiescence or a panic.
+//! silent quiescence or a panic. Alongside them: churn campaigns under
+//! [`SlotPolicy::Reuse`] keep balanced books with per-incarnation per-node
+//! counts, and a heal that exhausts its round budget is reported as
+//! non-converged instead of masquerading as quiescence.
 
 use crate::campaign::{Campaign, CampaignConfig, HealCadence};
 use crate::faults::{FaultConfig, FaultPlan, MsgFate};
@@ -18,8 +22,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Same chatty protocol shape as the parallel suite: churn triggers
-/// fan-out pings with bounded echo depth, so traffic is heavy but always
+/// A chatty protocol: churn triggers fan-out pings with bounded echo depth, so traffic is heavy but always
 /// quiesces — under faults too (loss only removes work, duplication only
 /// repeats a bounded hop, delay only postpones it).
 #[derive(Debug)]
@@ -66,6 +69,9 @@ fn chatter_net(g: ft_graph::Graph) -> Network<Chatter> {
 /// networks plan identical traces).
 fn plan_events(net: &Network<Chatter>, rng: &mut StdRng, count: usize) -> Vec<ChurnEvent> {
     let mut events = Vec::new();
+    // victims are removed from this working copy so a wave never plans the
+    // same deletion twice (insert anchors may still die mid-wave — the
+    // campaign driver's liveness filter covers that case)
     let mut live: Vec<NodeId> = net.nodes().collect();
     for _ in 0..count {
         if live.len() <= 3 {
@@ -87,27 +93,24 @@ fn plan_events(net: &Network<Chatter>, rng: &mut StdRng, count: usize) -> Vec<Ch
     events
 }
 
-/// Runs one seeded churn campaign with `plan` armed at the given thread
-/// count; returns everything the determinism contract must cover.
+/// Runs one seeded churn campaign under [`SlotPolicy::Reuse`] with `plan`
+/// armed; returns everything the determinism contract must cover.
 fn run_faulty_campaign(
     seed: u64,
     n: usize,
     waves: usize,
     wave_size: usize,
-    threads: usize,
     plan: Option<FaultPlan>,
 ) -> (Campaign, Network<Chatter>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let g = gen::random_tree(n, &mut rng);
     let mut net = chatter_net(g);
     net.set_slot_policy(SlotPolicy::Reuse);
-    // force every non-empty round through the sharded merge path
-    net.set_par_min_pending(1);
     net.set_fault_plan(plan);
     let mut campaign = Campaign::new(CampaignConfig {
         cadence: HealCadence::PerWave,
         max_rounds_per_heal: 64,
-        threads,
+        ..CampaignConfig::default()
     });
     let mut plan_rng = StdRng::seed_from_u64(seed ^ 0x5eed);
     for _ in 0..waves {
@@ -167,35 +170,62 @@ fn arb_fault_config() -> impl Strategy<Value = FaultConfig> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Under a random fault plan, threads = 4 replays threads = 1 byte
-    /// for byte: same campaign report (crashes and convergence verdicts
-    /// included), same ledger books (fault books included), same realized
-    /// fault schedule (FNV fingerprint), same final graph — and the
-    /// extended accounting identities hold (asserted inside the driver).
+    /// Under a random fault plan, a seeded campaign replays byte for byte:
+    /// same campaign report (crashes and convergence verdicts included),
+    /// same ledger books (fault books included), same realized fault
+    /// schedule (FNV fingerprint), same final graph — and the extended
+    /// accounting identities hold (asserted inside the driver).
     #[test]
-    fn faulty_campaigns_are_thread_count_invariant(
+    fn faulty_campaigns_replay_byte_identically(
         seed in 0u64..500,
         n in 30usize..100,
         cfg in arb_fault_config(),
     ) {
         let plan = Some(cfg.plan(seed ^ 0xfa17));
-        let (c1, n1) = run_faulty_campaign(seed, n, 4, 10, 1, plan);
-        let (c4, n4) = run_faulty_campaign(seed, n, 4, 10, 4, plan);
-        prop_assert_eq!(c1.report(), c4.report(), "campaign reports diverged");
-        prop_assert_eq!(n1.ledger(), n4.ledger(), "ledger books diverged");
+        let (c1, n1) = run_faulty_campaign(seed, n, 4, 10, plan);
+        let (c2, n2) = run_faulty_campaign(seed, n, 4, 10, plan);
+        prop_assert_eq!(c1.report(), c2.report(), "campaign reports diverged");
+        prop_assert_eq!(n1.ledger(), n2.ledger(), "ledger books diverged");
         prop_assert_eq!(
             n1.fault_fingerprint(),
-            n4.fault_fingerprint(),
+            n2.fault_fingerprint(),
             "realized fault schedules diverged"
         );
-        prop_assert_eq!(n1.crashes(), n4.crashes());
-        prop_assert_eq!(n1.crash_silenced(), n4.crash_silenced());
-        prop_assert_eq!(n1.round(), n4.round(), "round clocks diverged");
+        prop_assert_eq!(n1.crashes(), n2.crashes());
+        prop_assert_eq!(n1.crash_silenced(), n2.crash_silenced());
+        prop_assert_eq!(n1.round(), n2.round(), "round clocks diverged");
         prop_assert_eq!(
             graph_fingerprint(n1.graph()),
-            graph_fingerprint(n4.graph()),
+            graph_fingerprint(n2.graph()),
             "healed graphs diverged"
         );
+    }
+
+    /// Churn under SlotPolicy::Reuse keeps balanced books, and the books
+    /// stay per-incarnation: whenever a slot was actually reused the
+    /// retired accumulator owns the dead incarnations' charges.
+    #[test]
+    fn reuse_churn_books_balance_per_incarnation(
+        seed in 0u64..500,
+        n in 20usize..80,
+    ) {
+        let (campaign, net) = run_faulty_campaign(seed, n, 5, 8, None);
+        prop_assert!(campaign.report().converged, "chatter always quiesces");
+        // check_accounting passed inside run_faulty_campaign; recheck the
+        // reconciliation identity in its per-incarnation form explicitly.
+        let l = net.ledger();
+        prop_assert_eq!(
+            l.sum_per_node() + l.retired(),
+            2 * l.delivered() + l.notices() + l.joins(),
+            "per-incarnation reconciliation"
+        );
+        if campaign.report().insertions > 0 && campaign.report().deletions > 0 {
+            // with interleaved churn, insertions land in recycled slots
+            prop_assert!(
+                l.retired_incarnations() > 0,
+                "churn with deletions before insertions reuses slots"
+            );
+        }
     }
 
     /// The all-rates-zero plan is the fault-free engine: arming it changes
@@ -208,8 +238,8 @@ proptest! {
         n in 30usize..100,
     ) {
         let zero = Some(FaultConfig::zero().plan(seed));
-        let (c_none, n_none) = run_faulty_campaign(seed, n, 3, 8, 1, None);
-        let (c_zero, n_zero) = run_faulty_campaign(seed, n, 3, 8, 1, zero);
+        let (c_none, n_none) = run_faulty_campaign(seed, n, 3, 8, None);
+        let (c_zero, n_zero) = run_faulty_campaign(seed, n, 3, 8, zero);
         prop_assert_eq!(c_none.report(), c_zero.report(), "reports diverged");
         prop_assert_eq!(n_none.ledger(), n_zero.ledger(), "ledgers diverged");
         prop_assert_eq!(n_none.costs(), n_zero.costs(), "cost counters diverged");
@@ -239,15 +269,110 @@ proptest! {
         n in 40usize..80,
     ) {
         let cfg = FaultConfig::from_name("chaos").expect("chaos parses");
-        let (_, n1) = run_faulty_campaign(seed, n, 3, 8, 1, Some(cfg.plan(1)));
-        let (_, n2) = run_faulty_campaign(seed, n, 3, 8, 1, Some(cfg.plan(1)));
-        let (_, n3) = run_faulty_campaign(seed, n, 3, 8, 1, Some(cfg.plan(2)));
+        let (_, n1) = run_faulty_campaign(seed, n, 3, 8, Some(cfg.plan(1)));
+        let (_, n2) = run_faulty_campaign(seed, n, 3, 8, Some(cfg.plan(1)));
+        let (_, n3) = run_faulty_campaign(seed, n, 3, 8, Some(cfg.plan(2)));
         prop_assert_eq!(n1.fault_fingerprint(), n2.fault_fingerprint());
         prop_assert_eq!(n1.ledger(), n2.ledger());
         // chaos at these sizes always realizes some fault; a different
         // fault seed must realize a different schedule
         prop_assert_ne!(n1.fault_fingerprint(), n3.fault_fingerprint());
     }
+}
+
+// ---------------------------------------------------------------------
+// Heal truncation and slot reuse
+// ---------------------------------------------------------------------
+
+/// A protocol that ping-pongs forever: `run_until_quiet_capped` must report
+/// the truncation, and the campaign must carry it into wave and report.
+#[derive(Debug)]
+struct Immortal(NodeId);
+
+impl Process for Immortal {
+    type Msg = ();
+
+    fn on_message(&mut self, from: NodeId, _: (), ctx: &mut Ctx<'_, ()>) {
+        ctx.send(from, ());
+    }
+
+    fn on_neighbor_deleted(&mut self, _: NodeId, ctx: &mut Ctx<'_, ()>) {
+        ctx.send(self.0, ());
+    }
+}
+
+#[test]
+fn truncated_heal_is_reported_not_converged() {
+    // path 0-1-2; deleting 1 makes 0 and 2 ping themselves forever
+    let g = gen::path(3);
+    let mut net = Network::new(g, Immortal);
+    let mut campaign = Campaign::new(CampaignConfig {
+        cadence: HealCadence::PerDeletion,
+        max_rounds_per_heal: 8,
+        ..CampaignConfig::default()
+    });
+    let ws = campaign.run_wave(&mut net, &[NodeId(1)]);
+    assert!(!ws.converged, "budget exhausted with mail still in flight");
+    assert_eq!(ws.rounds, 9, "1 deletion step + the full 8-round budget");
+    assert!(net.has_pending(), "truly truncated, not quiescent");
+    assert!(!campaign.report().converged, "report carries the verdict");
+    net.check_accounting()
+        .expect("books balance even when truncated");
+}
+
+#[test]
+fn capped_runner_reports_convergence_when_quiet() {
+    let g = gen::path(4);
+    let mut net = chatter_net(g);
+    net.delete_node(NodeId(1));
+    let ((rounds, _, converged), _) = net.run_until_quiet_capped(64);
+    assert!(converged);
+    assert!(rounds > 0);
+    let ((rounds, stats, converged), cost) = net.run_until_quiet_capped(64);
+    assert!(converged, "vacuously converged when nothing is pending");
+    assert_eq!((rounds, stats.messages), (0, 0));
+    assert!(cost.is_zero(), "a no-op run charges nothing");
+}
+
+/// The reused slot's fresh incarnation starts with clean books even when
+/// the dead incarnation had in-flight mail (which is unsent, not charged
+/// to the newcomer).
+#[test]
+fn reuse_does_not_bleed_in_flight_mail_into_the_new_incarnation() {
+    // a star: the hub is a victim with queued outbound mail
+    let g = gen::star(4);
+    let mut net = chatter_net(g);
+    net.set_slot_policy(SlotPolicy::Reuse);
+    // leaf 1 dies: hub 0 pings its surviving neighbors (2, 3) — mail from
+    // 0 is now in flight
+    net.delete_node(NodeId(1));
+    assert!(net.has_pending(), "hub's pings are queued");
+    // hub 0 dies too: 2 and 3 are notified (no surviving neighbors to
+    // ping); 0's queued pings to 2 and 3 are still in flight (Deliver
+    // policy) …
+    net.delete_node(NodeId(0));
+    assert!(net.has_pending(), "dead hub's mail still queued");
+    // … until slot 0 is reused: the revival unsends the dead hub's mail
+    let before_dropped = net.ledger().dropped();
+    let (v, _) = net.insert_node(&[NodeId(2)], |_| Chatter {
+        neighbors: vec![NodeId(2)],
+        echoes: 0,
+    });
+    assert_eq!(v, NodeId(0), "lowest dead slot reused");
+    assert!(
+        net.ledger().dropped() > before_dropped,
+        "the dead incarnation's in-flight mail was unsent"
+    );
+    net.run_until_quiet(16);
+    // the new incarnation is charged only for its own join traffic
+    let l = net.ledger();
+    assert_eq!(
+        l.per_node_sent(NodeId(0)),
+        1,
+        "one echoed greeting from the newcomer, no inherited sends"
+    );
+    assert!(l.retired() > 0, "old incarnations' books retired");
+    net.check_accounting().expect("books balance");
 }
 
 // ---------------------------------------------------------------------
@@ -476,7 +601,7 @@ fn crash_stop_mid_heal_reports_not_converged() {
     let mut campaign = Campaign::new(CampaignConfig {
         cadence: HealCadence::PerWave,
         max_rounds_per_heal: 16,
-        threads: 1,
+        ..CampaignConfig::default()
     });
     // both deletions in one wave: 1 dies (crash, no mail in flight yet —
     // its neighbors 0 and 2 start pinging), then 2 dies with its heal

@@ -53,17 +53,11 @@
 //! `ftree stress` and the `BENCH_sim.json` / `BENCH_graph.json` perf
 //! records.
 //!
-//! # The sharded engine
+//! # Determinism
 //!
-//! Delivery order is canonical (ascending [`ft_graph::NodeId`] per round),
-//! which lets [`Network::step_mt`] shard heavy rounds across a persistent
-//! [`pool::WorkerPool`] — per-worker outboxes, edge buffers, and delivery
-//! logs merged in shard order — with results **byte-identical** to the
-//! single-threaded engine: same [`MsgLedger`] books, same [`RoundStats`],
-//! same final graph for any thread count. Thread the knob through
-//! [`CampaignConfig::threads`]; light rounds (under
-//! [`network::PAR_MIN_PENDING`] queued messages) stay sequential
-//! automatically.
+//! Delivery order is canonical (ascending [`ft_graph::NodeId`] per round)
+//! and the engine is sequential, so a seeded run replays byte-identically:
+//! same [`MsgLedger`] books, same [`RoundStats`], same final graph.
 //!
 //! # Fault injection
 //!
@@ -81,13 +75,14 @@
 //! tree construction with latency equal to the root's eccentricity (the
 //! stand-in for Cohen's algorithm cited by the paper).
 
+#![forbid(unsafe_code)]
+
 pub mod bfs;
 pub mod campaign;
 pub mod faults;
 pub mod hotset;
 pub mod ledger;
 pub mod network;
-pub mod pool;
 
 pub use campaign::{Campaign, CampaignConfig, CampaignReport, HealCadence, WaveStats};
 pub use faults::{FaultConfig, FaultPlan, MsgFate};
@@ -95,11 +90,8 @@ pub use ft_costs::{CostResult, OperationCost};
 pub use hotset::HotSet;
 pub use ledger::MsgLedger;
 pub use network::{ChurnJournal, Ctx, InFlightPolicy, Network, Process, RoundStats, SlotPolicy};
-pub use pool::WorkerPool;
 
 #[cfg(test)]
 mod accounting_tests;
 #[cfg(test)]
 mod fault_tests;
-#[cfg(test)]
-mod parallel_tests;

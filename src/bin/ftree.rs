@@ -6,8 +6,7 @@
 //! ftree scaling --healer line --adversary diameter-greedy
 //! ftree duel    --workload star:128
 //! ftree stress  --nodes 100k --deletions 1000 --wave 50 \
-//!               --planner heavy-tail --seed 42 --threads 4 \
-//!               --out BENCH_sim.json
+//!               --planner heavy-tail --seed 42 --out BENCH_sim.json
 //! ftree stress  --model graph --nodes 1m --events 2000 --wave 50 \
 //!               --planner mixed --insert-frac 0.4 --seed 42 \
 //!               --stretch incremental --threads 4 --out BENCH_graph.json
@@ -28,6 +27,8 @@
 //!
 //! Every numeric stress flag accepts scaled forms: `100k`, `1m`, `1e6`,
 //! and decimal mantissas like `2.5m` all parse to the obvious integer.
+
+#![forbid(unsafe_code)]
 
 use forgiving_tree::costs::OperationCost;
 use forgiving_tree::metrics::{
@@ -52,7 +53,8 @@ fn usage() -> ! {
          healers   : forgiving-tree forgiving-graph surrogate line binary-tree no-heal\n\
          planners  : random targeted heavy-tail (tree stress) | mixed surge (graph stress)\n\
          faults    : none delay loss dup crash partition chaos, or +-joined (loss+crash)\n\
-         numbers   : stress counts accept scaled forms (100k, 1m, 1e6, 2.5m)"
+         numbers   : stress counts accept scaled forms (100k, 1m, 1e6, 2.5m)\n\
+         threads   : --threads T runs the graph stretch pass on T workers; tree runs only record it"
     );
     exit(2);
 }

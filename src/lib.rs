@@ -65,6 +65,8 @@
 //! assert!(fg.max_degree_increase() <= fg_degree_bound(fg.graph().capacity()));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use ft_adversary as adversary;
 pub use ft_baselines as baselines;
 pub use ft_core as core;
