@@ -39,6 +39,32 @@ impl DistanceMap {
         }
     }
 
+    /// [`DistanceMap::with_capacity`] with room reserved for `spare` more
+    /// slots, so [`DistanceMap::grow`] by up to `spare` never reallocates.
+    /// The spare slots are reserved, not written.
+    pub fn with_headroom(cap: usize, spare: usize) -> Self {
+        let mut dist = Vec::with_capacity(cap + spare);
+        dist.resize(cap, UNREACHED);
+        DistanceMap { dist, reached: 0 }
+    }
+
+    /// A copy that keeps this table's reserved headroom (`clone` allocates
+    /// only the covered slots, so the copy's first `grow` would reallocate).
+    pub fn duplicate(&self) -> Self {
+        let mut dist = Vec::with_capacity(self.dist.capacity());
+        dist.extend_from_slice(&self.dist);
+        DistanceMap {
+            dist,
+            reached: self.reached,
+        }
+    }
+
+    /// Id-space slots the table holds without reallocating: covered slots
+    /// plus reserved headroom.
+    pub fn reserved(&self) -> usize {
+        self.dist.capacity()
+    }
+
     /// Records the first (and only) distance assignment for `v`.
     fn set(&mut self, v: NodeId, d: u32) {
         debug_assert_eq!(self.dist[v.index()], UNREACHED, "BFS visits once");
@@ -144,23 +170,38 @@ impl std::ops::Index<NodeId> for DistanceMap {
 /// The table contains `src` itself with distance 0. Nodes not reachable
 /// from `src` (or dead nodes) report as unreached.
 pub fn bfs_distances(g: &Graph, src: NodeId) -> DistanceMap {
-    let mut dist = DistanceMap::with_capacity(g.capacity());
+    bfs_with_headroom(g, src, 0).0
+}
+
+/// [`bfs_distances`] into a table that reserves room for `spare` more
+/// id-space slots ([`DistanceMap::with_headroom`]), together with the
+/// number of adjacency entries the search read (the sum of the reached
+/// nodes' degrees).
+pub fn bfs_with_headroom(g: &Graph, src: NodeId, spare: usize) -> (DistanceMap, usize) {
+    let mut map = DistanceMap::with_headroom(g.capacity(), spare);
     if !g.is_alive(src) {
-        return dist;
+        return (map, 0);
     }
+    let dist = &mut map.dist;
     let mut queue = VecDeque::new();
-    dist.set(src, 0);
+    let mut scans = 0;
+    dist[src.index()] = 0;
     queue.push_back(src);
+    map.reached = 1;
     while let Some(v) = queue.pop_front() {
-        let d = dist[v];
-        for u in g.neighbors(v) {
-            if !dist.contains(u) {
-                dist.set(u, d + 1);
+        let d = dist[v.index()] + 1;
+        let nbrs = &g.adj[v.index()];
+        scans += nbrs.len();
+        for &u in nbrs {
+            let slot = &mut dist[u.index()];
+            if *slot == UNREACHED {
+                *slot = d;
+                map.reached += 1;
                 queue.push_back(u);
             }
         }
     }
-    dist
+    (map, scans)
 }
 
 /// BFS that also records parents, yielding a BFS tree rooted at `src`.
@@ -364,6 +405,34 @@ mod tests {
         assert_eq!(d.get(NodeId(5)), Some(1));
         d.grow(2); // shrinking is a no-op
         assert_eq!(d.get(NodeId(5)), Some(1));
+    }
+
+    #[test]
+    fn bfs_with_headroom_counts_the_adjacency_it_reads() {
+        let mut g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4)]);
+        let (d, scans) = bfs_with_headroom(&g, NodeId(0), 4);
+        assert_eq!(d, bfs_distances(&g, NodeId(0)));
+        assert_eq!((d.len(), scans), (3, 6), "triangle: 3 nodes of degree 2");
+        assert!(d.reserved() >= 10);
+        g.delete_node(NodeId(0));
+        let (d, scans) = bfs_with_headroom(&g, NodeId(0), 4);
+        assert_eq!((d.len(), scans), (0, 0), "dead source");
+    }
+
+    #[test]
+    fn headroom_survives_duplicate_and_absorbs_growth() {
+        let mut d = DistanceMap::with_headroom(4, 6);
+        assert!(d.reserved() >= 10);
+        d.assign(NodeId(1), 3);
+        let mut copy = d.duplicate();
+        assert_eq!(copy, d);
+        let reserved = copy.reserved();
+        assert!(reserved >= 10, "the copy keeps the headroom");
+        copy.grow(10);
+        copy.assign(NodeId(9), 2);
+        assert_eq!(copy.reserved(), reserved, "growth within headroom");
+        assert_eq!((copy.len(), copy.get(NodeId(1))), (2, Some(3)));
+        assert_eq!(d.get(NodeId(9)), None, "the original is untouched");
     }
 
     #[test]

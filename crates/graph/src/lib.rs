@@ -314,6 +314,18 @@ impl Graph {
         bfs::bfs_distances(self, start).len() == self.num_alive
     }
 
+    /// True when `other` has the same capacity, the same live set and the
+    /// same adjacency — stricter than `==`, which ignores capacity — so a
+    /// BFS from any node yields identical distance tables on both. Compares
+    /// in place and allocates nothing.
+    pub fn identical_to(&self, other: &Graph) -> bool {
+        std::ptr::eq(self, other)
+            || (self.num_alive == other.num_alive
+                && self.num_edges == other.num_edges
+                && self.alive == other.alive
+                && self.adj == other.adj)
+    }
+
     /// Degree of every live node keyed by ID (useful for degree-increase
     /// accounting against the original graph).
     pub fn degree_map(&self) -> std::collections::BTreeMap<NodeId, usize> {
@@ -429,6 +441,24 @@ mod tests {
             a.delete_node(NodeId(i));
         }
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn identical_to_compares_capacity_and_adjacency() {
+        let a = Graph::from_edges(4, &[(0, 1), (1, 2)]);
+        assert!(a.identical_to(&a));
+        assert!(a.identical_to(&a.clone()));
+        // equal live set and edges, larger id space: `==` but not identical
+        let mut wide = Graph::from_edges(5, &[(0, 1), (1, 2)]);
+        wide.delete_node(NodeId(4));
+        assert_eq!(a, wide);
+        assert!(!a.identical_to(&wide));
+        let mut other = a.clone();
+        other.add_edge(NodeId(2), NodeId(3));
+        assert!(!a.identical_to(&other), "one more edge");
+        let mut dead = a.clone();
+        dead.delete_node(NodeId(3));
+        assert!(!a.identical_to(&dead), "one fewer live node");
     }
 
     #[test]

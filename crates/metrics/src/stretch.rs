@@ -39,9 +39,8 @@
 //! single-threaded pass.
 
 use ft_costs::{count, CostResult, OperationCost};
-use ft_graph::bfs::DistanceMap;
+use ft_graph::bfs::{bfs_with_headroom, DistanceMap};
 use ft_graph::{Graph, NodeId};
-use std::collections::VecDeque;
 
 /// What a sampled stretch pass observed.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -116,45 +115,52 @@ pub(crate) fn priority(seed: u64, v: NodeId) -> u64 {
 /// and history-free: any two callers that agree on `(seed, k)` and the
 /// live set agree on the sample.
 pub fn select_sources(g: &Graph, k: usize, seed: u64) -> Vec<NodeId> {
-    let mut keyed: Vec<(u64, NodeId)> = g.nodes().map(|v| (priority(seed, v), v)).collect();
-    let k = k.max(1).min(keyed.len());
-    if k == 0 {
-        return Vec::new();
-    }
-    if k < keyed.len() {
-        keyed.select_nth_unstable(k - 1);
-        keyed.truncate(k);
-    }
-    let mut picked: Vec<NodeId> = keyed.into_iter().map(|(_, v)| v).collect();
+    let mut picked: Vec<NodeId> = lowest_keys(g, k.max(1), seed)
+        .into_iter()
+        .map(|(_, v)| v)
+        .collect();
     picked.sort_unstable();
     picked
 }
 
+/// The (up to) `m` smallest `(priority, id)` keys among `g`'s live nodes,
+/// in no particular order: one priority probe per live node.
+pub(crate) fn lowest_keys(g: &Graph, m: usize, seed: u64) -> Vec<(u64, NodeId)> {
+    let mut keyed: Vec<(u64, NodeId)> = g.nodes().map(|v| (priority(seed, v), v)).collect();
+    if m == 0 {
+        keyed.clear();
+    } else if m < keyed.len() {
+        keyed.select_nth_unstable(m - 1);
+        keyed.truncate(m);
+    }
+    keyed
+}
+
 /// BFS distances from `src`, charging the pass to `cost`: one node visit
-/// per settled node, one edge scan per adjacency entry examined.
-pub(crate) fn bfs_with_cost(g: &Graph, src: NodeId, cost: &mut OperationCost) -> DistanceMap {
-    let mut dist = DistanceMap::with_capacity(g.capacity());
-    if !g.is_alive(src) {
-        return dist;
+/// per settled node, one edge scan per adjacency entry examined. The table
+/// reserves room for `spare` more id-space slots (see
+/// [`DistanceMap::with_headroom`]); the charged heap bytes cover the
+/// written slots only.
+pub(crate) fn bfs_with_cost(
+    g: &Graph,
+    src: NodeId,
+    spare: usize,
+    cost: &mut OperationCost,
+) -> DistanceMap {
+    let (dist, scans) = bfs_with_headroom(g, src, spare);
+    cost.node_visits += count(dist.len());
+    cost.edge_scans += count(scans);
+    if !dist.is_empty() {
+        charge_table(g, cost);
     }
-    let mut queue = VecDeque::new();
-    dist.assign(src, 0);
-    queue.push_back(src);
-    while let Some(v) = queue.pop_front() {
-        cost.node_visits += 1;
-        cost.edge_scans += count(g.degree(v));
-        let d = dist[v];
-        for u in g.neighbors(v) {
-            if !dist.contains(u) {
-                dist.assign(u, d + 1);
-                queue.push_back(u);
-            }
-        }
-    }
+    dist
+}
+
+/// Charges one distance table over `g`'s id space to `cost.heap_bytes`.
+pub(crate) fn charge_table(g: &Graph, cost: &mut OperationCost) {
     cost.heap_bytes = cost
         .heap_bytes
         .saturating_add(count(g.capacity() * std::mem::size_of::<u32>()));
-    dist
 }
 
 /// Scores every surviving pair owned by `src` against the two distance
@@ -249,8 +255,8 @@ fn source_pass(
     sampled: &[bool],
 ) -> (SourcePass, OperationCost) {
     let mut cost = OperationCost::ZERO;
-    let dh = bfs_with_cost(healed, src, &mut cost);
-    let dp = bfs_with_cost(pristine, src, &mut cost);
+    let dh = bfs_with_cost(healed, src, 0, &mut cost);
+    let dp = bfs_with_cost(pristine, src, 0, &mut cost);
     (pair_pass(&dh, &dp, healed, src, sampled), cost)
 }
 

@@ -114,5 +114,5 @@ fn seeded_regression_pins_ten_thousand_node_figures() {
         "stretch figures"
     );
     assert_eq!(rec.cost.messages_delivered, 1248, "engine cost spine");
-    assert_eq!(rec.stretch_cost.node_visits, 176_526, "tracker repair work");
+    assert_eq!(rec.stretch_cost.node_visits, 96_526, "tracker repair work");
 }
